@@ -3,7 +3,7 @@
 The metrics registry (``repro.obs.metrics``) aggregates through a
 module-global trace sink, so when metrics are **off** the machine must
 pay nothing beyond the tracer's existing one-truthiness-test guard: no
-sink installed means ``is_tracing()`` is still false and every span site
+sink installed means ``enabled()`` is still false and every span site
 short-circuits exactly as before the metrics layer existed.
 
 The guard holds that promise: a superstep workload with metrics disabled
@@ -69,8 +69,12 @@ class _ObsStub:
         return f"proc {proc}"
 
     @staticmethod
-    def is_tracing():
+    def enabled():
         return False
+
+    @staticmethod
+    def count(*args, **kwargs):
+        pass
 
     @staticmethod
     def record(*args, **kwargs):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 
-from repro import perf
+from repro import obs, perf
 from repro.core.constraints import (
     FALSE,
     CLoc,
@@ -94,7 +94,7 @@ def test_warm_cache_at_least_twice_as_fast(benchmark):
         _solve_all(constraints)
     warm = (time.perf_counter() - start) / WARM_PASSES
 
-    with perf.collect() as stats:
+    with obs.stats() as stats:
         _solve_all(constraints)
     hit_rate = stats.hit_rate("constraints.solve")
 

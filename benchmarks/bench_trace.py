@@ -1,10 +1,10 @@
 """Benchmark — the tracing layer's disabled overhead.
 
-The structured tracer (``repro.obs``) follows the perf layer's opt-in
-discipline: with no collector active every instrumentation point is one
-truthiness test on a module-level stack.  The guard below holds the
-machine to that promise: a superstep workload run with tracing disabled
-must cost at most ``MAX_OVERHEAD`` of the same workload with the
+The instrumentation stream (``repro.obs``) is opt-in: with no window
+open and no sink installed every instrumentation point is one
+truthiness test on the context-local window stack.  The guard below
+holds the machine to that promise: a superstep workload run with
+tracing disabled must cost at most ``MAX_OVERHEAD`` of the same workload with the
 instrumentation sites **stubbed out entirely** — a faithful stand-in for
 the machine as it was before the layer existed (that code is gone, so it
 cannot be measured directly).
@@ -64,8 +64,12 @@ class _ObsStub:
         return f"proc {proc}"
 
     @staticmethod
-    def is_tracing():
+    def enabled():
         return False
+
+    @staticmethod
+    def count(*args, **kwargs):
+        pass
 
     @staticmethod
     def record(*args, **kwargs):

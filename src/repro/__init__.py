@@ -122,10 +122,10 @@ def run_program(
     expr = _to_expr(program)
     if typed:
         typecheck(expr, use_prelude=use_prelude, infer_engine=infer_engine)
-    runnable = with_prelude(expr) if use_prelude else expr
     return run_costed(
-        runnable,
+        expr,
         BspParams(p=p, g=g, l=l),
+        use_prelude=use_prelude,
         backend=backend,
         faults=faults,
         retry=retry,

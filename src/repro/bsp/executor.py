@@ -53,7 +53,7 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolEx
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro import obs, perf
+from repro import obs
 from repro.bsp.faults import BackendUnavailableError
 
 #: A unit of per-process work: returns ``(value, abstract_op_count)``.
@@ -190,13 +190,12 @@ class ThreadExecutor:
 
     def run(self, tasks: Sequence[Task]) -> List[TaskOutcome]:
         if getattr(self._local, "in_worker", False):
-            if obs.is_tracing():
-                obs.event(
-                    "backend.reentrant_inline",
-                    obs.MACHINE_TRACK,
-                    backend=self.name,
-                    tasks=len(tasks),
-                )
+            obs.event(
+                "backend.reentrant_inline",
+                obs.MACHINE_TRACK,
+                backend=self.name,
+                tasks=len(tasks),
+            )
             return SequentialExecutor().run(tasks)
         pool = self._ensure()
         futures = [pool.submit(self._worker, task) for task in tasks]
@@ -211,8 +210,7 @@ class ThreadExecutor:
 
     def recycle(self) -> None:
         """Tear down the pool; the next phase builds a fresh one."""
-        if obs.is_tracing():
-            obs.event("backend.recycle", obs.MACHINE_TRACK, backend=self.name)
+        obs.event("backend.recycle", obs.MACHINE_TRACK, backend=self.name)
         self.close()
 
     def ensure_available(self) -> None:
@@ -291,10 +289,10 @@ class ProcessExecutor:
             key = id(part)
             blob = cache.get(key)
             if blob is not None:
-                perf.increment("bsp.backend.process.pickle_cache_hit")
+                obs.count("bsp.backend.process.pickle_cache_hit")
                 return blob
             blob = pickle.dumps(part)
-            perf.increment("bsp.backend.process.pickle_cache_miss")
+            obs.count("bsp.backend.process.pickle_cache_miss")
             cache[key] = blob
             return blob
 
@@ -329,8 +327,8 @@ class ProcessExecutor:
                     # fresh one.  Never run the task inline here: the
                     # machine must decide whether a retry is allowed.
                     self._pool = None
-                    perf.increment("bsp.backend.process.broken_pool")
-                    if obs.is_tracing():
+                    if obs.enabled():
+                        obs.count("bsp.backend.process.broken_pool")
                         obs.event(
                             "backend.broken_pool",
                             obs.MACHINE_TRACK,
@@ -344,10 +342,11 @@ class ProcessExecutor:
                     # unpickle).  Fall back inline, but record why.
                     fallback_causes[index] = error
             cause = fallback_causes.get(index)
-            perf.increment("bsp.backend.process.inline")
-            if cause is not None and not isinstance(cause, _EXPECTED_UNPICKLABLE):
-                perf.increment("bsp.backend.process.fallback_error")
-            if obs.is_tracing():
+            if obs.enabled():
+                expected = cause is None or isinstance(cause, _EXPECTED_UNPICKLABLE)
+                obs.count("bsp.backend.process.inline")
+                if not expected:
+                    obs.count("bsp.backend.process.fallback_error")
                 obs.event(
                     "backend.fallback",
                     obs.MACHINE_TRACK,
@@ -358,8 +357,7 @@ class ProcessExecutor:
                         if cause is not None
                         else "unpicklable"
                     ),
-                    expected=cause is None
-                    or isinstance(cause, _EXPECTED_UNPICKLABLE),
+                    expected=expected,
                 )
             outcome = _timed(task)
             if cause is not None:
@@ -371,8 +369,7 @@ class ProcessExecutor:
         """Drop the current pool (fast); the next phase builds a fresh
         one.  Used by the fault layer's injected broken-pool events and
         safe to call on a healthy pool."""
-        if obs.is_tracing():
-            obs.event("backend.recycle", obs.MACHINE_TRACK, backend=self.name)
+        obs.event("backend.recycle", obs.MACHINE_TRACK, backend=self.name)
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)

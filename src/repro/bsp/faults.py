@@ -259,8 +259,8 @@ class FaultPlan:
     def draw_task_faults(self, procs: Sequence[int]) -> Dict[int, str]:
         """Which of ``procs`` get a crash/timeout injected this attempt.
 
-        Each injection is also recorded as a ``fault`` trace event on the
-        owning process's track (:mod:`repro.obs`) carrying the drawn
+        Each injection is also counted (``bsp.fault.<kind>``) and recorded
+        as a ``fault`` trace event on the owning process's track (:mod:`repro.obs`) carrying the drawn
         outcome — the draws are machine-side and in program order, so the
         events are bit-identical across execution backends.
         """
@@ -272,8 +272,9 @@ class FaultPlan:
                 injected[proc] = "crash"
             elif self.timeout > 0.0 and self._rng.random() < self.timeout:
                 injected[proc] = "timeout"
-        if injected and obs.is_tracing():
+        if injected and obs.enabled():
             for proc, kind in injected.items():
+                obs.count(f"bsp.fault.{kind}")
                 obs.event(
                     "fault", obs.process_track(proc), kind=kind, proc=proc
                 )
@@ -282,7 +283,8 @@ class FaultPlan:
     def draw_pool_break(self) -> bool:
         """Does the worker pool break on this computation attempt?"""
         broke = self.pool_faults_active and self._rng.random() < self.pool
-        if broke and obs.is_tracing():
+        if broke and obs.enabled():
+            obs.count("bsp.fault.pool")
             obs.event("fault", obs.MACHINE_TRACK, kind="pool")
         return broke
 
@@ -302,8 +304,9 @@ class FaultPlan:
                 if rate > 0.0 and self._rng.random() < rate:
                     injected[key] = kind
                     break
-        if injected and obs.is_tracing():
+        if injected and obs.enabled():
             for (src, dst), kind in injected.items():
+                obs.count(f"bsp.fault.{kind}")
                 obs.event(
                     "fault",
                     obs.process_track(src),

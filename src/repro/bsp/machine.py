@@ -42,7 +42,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from concurrent.futures import BrokenExecutor
 
-from repro import obs, perf
+from repro import obs
 from repro.bsp.cost import BspCost, SuperstepCost
 from repro.bsp.executor import (
     SequentialExecutor,
@@ -231,7 +231,7 @@ class BspMachine:
         """
         if len(tasks) != self.p:
             raise ValueError(f"expected {self.p} tasks, got {len(tasks)}")
-        if obs.is_tracing():
+        if obs.enabled():
             with obs.span(
                 "superstep.compute",
                 obs.MACHINE_TRACK,
@@ -239,12 +239,13 @@ class BspMachine:
                 procs=self.p,
                 backend=self.executor.name,
             ) as extra:
-                return self._compute(tasks, extra)
-        return self._compute(tasks, None)
+                return self._compute(tasks, True, extra)
+        return self._compute(tasks, False, None)
 
-    def _compute(self, tasks: Sequence[Task], extra) -> List[Any]:
-        """The (transactional) body of :meth:`run_superstep`; ``extra``
-        is the enclosing trace span's arg dict (None when not tracing)."""
+    def _compute(self, tasks: Sequence[Task], instrumented: bool, extra) -> List[Any]:
+        """The (transactional) body of :meth:`run_superstep`;
+        ``instrumented`` is the site's :func:`obs.enabled` guard and
+        ``extra`` the enclosing span's arg dict (None when not recorded)."""
         tracing = extra is not None
         step_index = len(self._steps)
         plan, policy = self._faults, self._retry
@@ -256,20 +257,16 @@ class BspMachine:
         attempt = 0
         while True:
             attempt += 1
-            if attempt > 1:
-                if perf.is_collecting():
-                    perf.increment("bsp.retry.attempts")
-                if tracing:
-                    obs.event(
-                        "retry",
-                        obs.MACHINE_TRACK,
-                        phase="compute",
-                        superstep=step_index,
-                        attempt=attempt,
-                    )
+            if attempt > 1 and instrumented:
+                obs.count("bsp.retry.attempts")
+                obs.event(
+                    "retry",
+                    obs.MACHINE_TRACK,
+                    phase="compute",
+                    superstep=step_index,
+                    attempt=attempt,
+                )
             if plan is not None and plan.draw_pool_break():
-                if perf.is_collecting():
-                    perf.increment("bsp.fault.pool")
                 self.executor.recycle()
                 error: BaseException = BrokenPool(
                     f"injected pool break (attempt {attempt})"
@@ -287,8 +284,6 @@ class BspMachine:
                     if kind is None:
                         run_tasks.append(tasks[proc])
                     else:
-                        if perf.is_collecting():
-                            perf.increment(f"bsp.fault.{kind}")
                         run_tasks.append(
                             partial(INJECTED_TASKS[kind], proc, attempt)
                         )
@@ -330,15 +325,14 @@ class BspMachine:
             if not pending:
                 break
             if attempt >= max_attempts:
-                if perf.is_collecting():
-                    perf.increment("bsp.fault.supersteps_failed")
-                    if policy is not None:
-                        perf.increment("bsp.retry.exhausted")
                 table = [
                     ProcOutcome(f"proc {proc}", status[proc], detail[proc])
                     for proc in range(self.p)
                 ]
-                if tracing:
+                if instrumented:
+                    obs.count("bsp.fault.supersteps_failed")
+                    if policy is not None:
+                        obs.count("bsp.retry.exhausted")
                     obs.event(
                         "rollback",
                         obs.MACHINE_TRACK,
@@ -354,8 +348,7 @@ class BspMachine:
                 delay = policy.delay(attempt)
                 if delay > 0:
                     time.sleep(delay)
-                    if perf.is_collecting():
-                        perf.add_time("bsp.retry.sleep", delay)
+                    obs.count("bsp.retry.sleep", delay, timer=True)
         # Commit: every process has a successful outcome.
         values: List[Any] = []
         total_seconds = 0.0
@@ -377,7 +370,9 @@ class BspMachine:
                 )
         if tracing:
             extra["attempts"] = attempt
+        if instrumented:
             if attempt > 1:
+                obs.count("bsp.retry.recovered")
                 obs.event(
                     "retry.recovered",
                     obs.MACHINE_TRACK,
@@ -385,12 +380,10 @@ class BspMachine:
                     superstep=step_index,
                     attempts=attempt,
                 )
-        if perf.is_collecting():
-            if attempt > 1:
-                perf.increment("bsp.retry.recovered")
-            perf.increment(f"bsp.backend.{self.executor.name}.phases")
-            perf.increment(f"bsp.backend.{self.executor.name}.tasks", self.p)
-            perf.add_time(f"bsp.backend.{self.executor.name}.compute", total_seconds)
+            backend = f"bsp.backend.{self.executor.name}"
+            obs.count(f"{backend}.phases")
+            obs.count(f"{backend}.tasks", self.p)
+            obs.count(f"{backend}.compute", total_seconds, timer=True)
         return values
 
     # -- communication + synchronization phases ------------------------------
@@ -442,11 +435,7 @@ class BspMachine:
                         f"payload for ({src}, {dst}) but the traffic matrix "
                         "records 0 words sent — unaccounted communication"
                     )
-        if obs.is_tracing():
-            # The full traffic matrix rides on the span (deterministic,
-            # so abstract signatures stay backend-identical): the trace
-            # analyzer aggregates it into the per-pair communication
-            # report without re-deriving routing from payload keys.
+        if obs.enabled():
             with obs.span(
                 "superstep.exchange",
                 obs.MACHINE_TRACK,
@@ -454,11 +443,19 @@ class BspMachine:
                 label=label,
                 h=relation.h,
                 words=relation.total_words,
-                matrix=tuple(tuple(int(w) for w in row) for row in sent_words),
-            ):
-                self._deliver(relation, payloads, label)
+            ) as extra:
+                if extra is not None:
+                    # The full traffic matrix rides on the span
+                    # (deterministic, so abstract signatures stay
+                    # backend-identical): the trace analyzer aggregates it
+                    # into the per-pair communication report without
+                    # re-deriving routing from payload keys.
+                    extra["matrix"] = tuple(
+                        tuple(int(w) for w in row) for row in sent_words
+                    )
+                self._deliver(relation, payloads, label, True)
         else:
-            self._deliver(relation, payloads, label)
+            self._deliver(relation, payloads, label, False)
         return relation
 
     def _deliver(
@@ -466,9 +463,9 @@ class BspMachine:
         relation: HRelation,
         payloads: Optional[Dict[Tuple[int, int], object]],
         label: str,
+        instrumented: bool,
     ) -> None:
         """The (transactional) delivery + barrier of :meth:`exchange`."""
-        tracing = obs.is_tracing()
         step_index = len(self._steps)
         plan, policy = self._faults, self._retry
         if plan is not None and payloads and plan.message_faults_active:
@@ -477,39 +474,28 @@ class BspMachine:
             attempt = 0
             while True:
                 attempt += 1
-                if attempt > 1:
-                    if perf.is_collecting():
-                        perf.increment("bsp.retry.attempts")
-                    if tracing:
+                if attempt > 1 and instrumented:
+                    obs.count("bsp.retry.attempts")
+                    obs.event(
+                        "retry",
+                        obs.MACHINE_TRACK,
+                        phase="exchange",
+                        superstep=step_index,
+                        attempt=attempt,
+                    )
+                injured = plan.draw_message_faults(keys)
+                if not injured:
+                    if attempt > 1 and instrumented:
+                        obs.count("bsp.retry.recovered")
                         obs.event(
-                            "retry",
+                            "retry.recovered",
                             obs.MACHINE_TRACK,
                             phase="exchange",
                             superstep=step_index,
-                            attempt=attempt,
+                            attempts=attempt,
                         )
-                injured = plan.draw_message_faults(keys)
-                if not injured:
-                    if attempt > 1:
-                        if perf.is_collecting():
-                            perf.increment("bsp.retry.recovered")
-                        if tracing:
-                            obs.event(
-                                "retry.recovered",
-                                obs.MACHINE_TRACK,
-                                phase="exchange",
-                                superstep=step_index,
-                                attempts=attempt,
-                            )
                     break
-                if perf.is_collecting():
-                    for kind in injured.values():
-                        perf.increment(f"bsp.fault.{kind}")
                 if attempt >= max_attempts:
-                    if perf.is_collecting():
-                        perf.increment("bsp.fault.supersteps_failed")
-                        if policy is not None:
-                            perf.increment("bsp.retry.exhausted")
                     table = [
                         ProcOutcome(
                             f"{src}->{dst}",
@@ -517,7 +503,10 @@ class BspMachine:
                         )
                         for src, dst in keys
                     ]
-                    if tracing:
+                    if instrumented:
+                        obs.count("bsp.fault.supersteps_failed")
+                        if policy is not None:
+                            obs.count("bsp.retry.exhausted")
                         obs.event(
                             "rollback",
                             obs.MACHINE_TRACK,
@@ -533,8 +522,7 @@ class BspMachine:
                     delay = policy.delay(attempt)
                     if delay > 0:
                         time.sleep(delay)
-                        if perf.is_collecting():
-                            perf.add_time("bsp.retry.sleep", delay)
+                        obs.count("bsp.retry.sleep", delay, timer=True)
         self._close(relation, label, deliveries=payloads)
 
     def barrier(self, label: str = "barrier") -> None:
@@ -545,7 +533,7 @@ class BspMachine:
         exchange, never across a later barrier.
         """
         relation = HRelation((0,) * self.p, (0,) * self.p)
-        if obs.is_tracing():
+        if obs.enabled():
             with obs.span(
                 "superstep.barrier",
                 obs.MACHINE_TRACK,
@@ -594,7 +582,9 @@ class BspMachine:
             measured=tuple(self._elapsed) if any(self._elapsed) else None,
         )
         self._steps.append(step)
-        if obs.is_tracing():
+        if obs.enabled():
+            obs.count("bsp.supersteps")
+            obs.count("bsp.words_exchanged", relation.total_words)
             # The committed BspCost row rides on the trace so modelled
             # cost can be read next to the measured phase spans.
             obs.event(
@@ -612,9 +602,6 @@ class BspMachine:
         if deliveries:
             for (src, dst), value in deliveries.items():
                 self._mailboxes[dst][src] = value
-        if perf.is_collecting():
-            perf.increment("bsp.supersteps")
-            perf.increment("bsp.words_exchanged", relation.total_words)
 
     def cost(self) -> BspCost:
         """The cost so far, including any unfinished local-only phase."""

@@ -17,7 +17,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro import obs, perf, run_program, typecheck_scheme
+from repro import obs, run_program, typecheck_scheme
 from repro.core import INFER_ENGINES, TypingError, explain as explain_expr
 from repro.lang import ParseError, parse_program, pretty, with_prelude
 from repro.lang.errors import ReproError
@@ -523,7 +523,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     wants_stats = (
         getattr(args, "stats", False) or verbose_stats
     ) and args.command != "repl"
-    stats_context = perf.collect() if wants_stats else None
+    stats_context = obs.stats() if wants_stats else None
     try:
         if stats_context is None:
             return args.handler(args)

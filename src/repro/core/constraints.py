@@ -477,7 +477,7 @@ def is_unsatisfiable(constraint: Constraint) -> bool:
     the per-rule ``Solve`` the typing rules' side conditions invoke, so
     the spans line up one-to-one under the ``judgment`` spans.
     """
-    if not obs.is_tracing():
+    if not obs.enabled():
         return not is_satisfiable(constraint)
     started = time.perf_counter()
     unsat = not is_satisfiable(constraint)

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import perf
+from repro import obs
 from repro.core.digest import DIGEST_VERSION, chain_digest, expr_digest
 from repro.core.infer import infer
 from repro.core.prelude_env import prelude_env
@@ -104,12 +104,12 @@ class IncrementalChecker:
             cached = self._cache.get(token)
             if cached is not None:
                 scheme, env = cached
-                perf.increment("incremental.reused")
+                obs.count("incremental.reused")
                 results.append(
                     CheckedDefinition(definition.name, scheme, token, True)
                 )
                 continue
-            perf.increment("incremental.inferred")
+            obs.count("incremental.inferred")
             ct = infer(definition.expr, env)
             scheme = generalize(ct, env)
             env = env.extend(definition.name, scheme)
@@ -135,7 +135,7 @@ class IncrementalChecker:
             # re-walks its whole chain every check, refreshing nothing).
             for key in list(self._cache)[: max(1, self._max_entries // 4)]:
                 del self._cache[key]
-            perf.increment("incremental.trimmed")
+            obs.count("incremental.trimmed")
         self._cache[token] = (scheme, env)
 
     def cache_size(self) -> int:

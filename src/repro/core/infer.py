@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro import obs, perf
+from repro import obs
 from repro.core.constraints import (
     FALSE,
     basic_constraint,
@@ -160,7 +160,7 @@ class Inferencer:
     ) -> Tuple[ConstrainedType, Derivation]:
         """Fail the rule if its constraint is unsatisfiable (Solve = False)."""
         resolved = self._resolve(ct)
-        perf.increment("infer.solve_checks")
+        obs.count("infer.solve_checks")
         if is_unsatisfiable(resolved.constraint):
             failure = Derivation(rule, expr, None, premises, note)
             raise_nesting(rule, expr, resolved, failure)
@@ -169,8 +169,8 @@ class Inferencer:
     # -- the rules of Figure 7 --------------------------------------------
 
     def infer(self, env: TypeEnv, expr: Expr) -> Tuple[ConstrainedType, Derivation]:
-        perf.increment("infer.nodes")
-        if obs.is_tracing():
+        if obs.enabled():
+            obs.count("infer.nodes")
             # One span per typing judgment, nested by the recursion on
             # the ``inference`` track; the applied rule name is attached
             # once the premise sub-derivations have returned.
@@ -178,7 +178,8 @@ class Inferencer:
                 "judgment", obs.INFERENCE_TRACK, node=type(expr).__name__
             ) as extra:
                 ct, derivation = self._infer_node(env, expr)
-                extra["rule"] = derivation.rule
+                if extra is not None:
+                    extra["rule"] = derivation.rule
                 return ct, derivation
         return self._infer_node(env, expr)
 
@@ -537,13 +538,13 @@ def infer(
 
         return uf.infer(expr, env, prune=prune)
     inferencer = Inferencer(prune=prune)
-    with perf.timed("infer"), obs.span("infer", obs.INFERENCE_TRACK), deep_recursion():
+    with obs.span("infer", obs.INFERENCE_TRACK, timer=True), deep_recursion():
         ct, _ = inferencer.infer(env or TypeEnv.empty(), expr)
         final = inferencer.subst.apply_constrained(ct)
     if prune:
         environment = env or TypeEnv.empty()
         final = prune_constrained(final, environment.apply(inferencer.subst).free_vars())
-    perf.increment("infer.runs")
+    obs.count("infer.runs")
     return final
 
 

@@ -55,7 +55,7 @@ from __future__ import annotations
 import time
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro import obs, perf
+from repro import obs
 from repro.core.constraints import (
     FALSE,
     Constraint,
@@ -422,8 +422,8 @@ def uf_unify(uf: UnionFind, left: Type, right: Type, loc: Optional[Loc] = None) 
     same bindings in the same order; errors carry frozen types so the
     messages match the substitution engine's byte for byte.
     """
-    tracing = obs.is_tracing()
-    started = time.perf_counter() if tracing else 0.0
+    instrumented = obs.enabled()
+    started = time.perf_counter() if instrumented else 0.0
     stack = [(left, right)]
     steps = 0
     while stack:
@@ -467,10 +467,9 @@ def uf_unify(uf: UnionFind, left: Type, right: Type, loc: Optional[Loc] = None) 
             stack.append((a.content, b.content))
             continue
         raise UnificationError(uf.freeze_type(a), uf.freeze_type(b), loc)
-    if perf.is_collecting():
-        perf.increment("unify.calls")
-        perf.increment("unify.steps", steps)
-    if tracing:
+    if instrumented:
+        obs.count("unify.calls")
+        obs.count("unify.steps", steps)
         obs.record(
             "unify",
             obs.INFERENCE_TRACK,
@@ -517,7 +516,7 @@ class UFInferencer:
     ) -> Tuple[ConstrainedType, Derivation]:
         """Fail the rule if its constraint is unsatisfiable (Solve = False)."""
         resolved = self._resolve(ct)
-        perf.increment("infer.solve_checks")
+        obs.count("infer.solve_checks")
         if is_unsatisfiable(resolved.constraint):
             failure = Derivation(rule, expr, None, premises, note)
             raise_nesting(rule, expr, resolved, failure)
@@ -554,13 +553,14 @@ class UFInferencer:
     # -- the rules of Figure 7 --------------------------------------------
 
     def infer(self, env: TypeEnv, expr: Expr) -> Tuple[ConstrainedType, Derivation]:
-        perf.increment("infer.nodes")
-        if obs.is_tracing():
+        if obs.enabled():
+            obs.count("infer.nodes")
             with obs.span(
                 "judgment", obs.INFERENCE_TRACK, node=type(expr).__name__
             ) as extra:
                 ct, derivation = self._infer_node(env, expr)
-                extra["rule"] = derivation.rule
+                if extra is not None:
+                    extra["rule"] = derivation.rule
                 return ct, derivation
         return self._infer_node(env, expr)
 
@@ -794,12 +794,12 @@ class UFInferencer:
 def _flush_counters(engine: UFInferencer) -> None:
     """Report the run's union-find counters (zero hot-path overhead: the
     tallies are plain ints on the store, flushed once per run)."""
-    if perf.is_collecting():
+    if obs.enabled():
         uf = engine.uf
-        perf.increment("infer.uf.runs")
-        perf.increment("infer.uf.binds", uf.binds)
-        perf.increment("infer.uf.compressions", uf.compressions)
-        perf.increment("infer.uf.freezes", uf.freezes)
+        obs.count("infer.uf.runs")
+        obs.count("infer.uf.binds", uf.binds)
+        obs.count("infer.uf.compressions", uf.compressions)
+        obs.count("infer.uf.freezes", uf.freezes)
 
 
 # -- public entry points ---------------------------------------------------
@@ -811,13 +811,13 @@ def infer(expr: Expr, env: Optional[TypeEnv] = None, prune: bool = True) -> Cons
     Same contract (and bit-identical results, per the differential
     harness) as :func:`repro.core.infer.infer`."""
     engine = UFInferencer(prune=prune)
-    with perf.timed("infer"), obs.span("infer", obs.INFERENCE_TRACK), deep_recursion():
+    with obs.span("infer", obs.INFERENCE_TRACK, timer=True), deep_recursion():
         ct, _ = engine.infer(env or TypeEnv.empty(), expr)
         final = engine.uf.resolve(ct)
     if prune:
         environment = env or TypeEnv.empty()
         final = prune_constrained(final, engine.uf.env_free_vars(environment))
-    perf.increment("infer.runs")
+    obs.count("infer.runs")
     _flush_counters(engine)
     return final
 

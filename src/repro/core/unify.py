@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro import obs, perf
+from repro import obs
 from repro.core.errors import OccursCheckError, UnificationError
 from repro.core.schemes import Subst
 from repro.core.types import (
@@ -35,8 +35,8 @@ def unify(left: Type, right: Type, loc: Optional[Loc] = None) -> Subst:
     Raises :class:`UnificationError` on a constructor clash and
     :class:`OccursCheckError` on a cyclic solution.
     """
-    tracing = obs.is_tracing()
-    started = time.perf_counter() if tracing else 0.0
+    instrumented = obs.enabled()
+    started = time.perf_counter() if instrumented else 0.0
     subst = Subst.identity()
     stack = [(left, right)]
     steps = 0
@@ -81,10 +81,9 @@ def unify(left: Type, right: Type, loc: Optional[Loc] = None) -> Subst:
             stack.append((a.content, b.content))
             continue
         raise UnificationError(a, b, loc)
-    if perf.is_collecting():
-        perf.increment("unify.calls")
-        perf.increment("unify.steps", steps)
-    if tracing:
+    if instrumented:
+        obs.count("unify.calls")
+        obs.count("unify.steps", steps)
         obs.record(
             "unify",
             obs.INFERENCE_TRACK,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import count
 from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator
 
-from repro import perf
+from repro import obs
 
 from repro.lang.ast import (
     Annot,
@@ -43,15 +43,13 @@ def free_vars(expr: Expr) -> FrozenSet[str]:
     (an ``object.__setattr__`` side-channel, like source locations), so
     it lives exactly as long as the node and subterm sharing after
     substitution shares the cached sets too.  Hit rates surface as the
-    ``lang.free_vars`` perf counters.
+    ``lang.free_vars`` counters.
     """
     cached = getattr(expr, "_free_vars_cache", None)
     if cached is not None:
-        if perf.is_collecting():
-            perf.increment("lang.free_vars.hit")
+        obs.count("lang.free_vars.hit")
         return cached
-    if perf.is_collecting():
-        perf.increment("lang.free_vars.miss")
+    obs.count("lang.free_vars.miss")
     result = _free_vars_of(expr)
     object.__setattr__(expr, "_free_vars_cache", result)
     return result

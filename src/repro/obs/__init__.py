@@ -1,7 +1,7 @@
-"""Structured tracing, trace export, live metrics and BSP analytics.
+"""The instrumentation stream, trace export, live metrics and analytics.
 
-See :mod:`repro.obs.tracer` for the span/event model and the collection
-discipline, :mod:`repro.obs.export` for the Chrome-trace / JSONL /
+See :mod:`repro.obs.tracer` for the span/event/count API and its one
+collection stack, :mod:`repro.obs.export` for the Chrome-trace / JSONL /
 summary exporters, :mod:`repro.obs.metrics` for the process-global
 Prometheus-style aggregation layer, and :mod:`repro.obs.analyze` for
 post-hoc critical-path / load-balance / cost-calibration analysis of
@@ -11,6 +11,9 @@ saved traces.  Typical use::
 
     with obs.trace() as t:
         run_program("bcast 2 (mkpar (fun i -> i * i))")
+    with obs.stats() as s:
+        run_program("bcast 2 (mkpar (fun i -> i * i))")
+    print(s.render())                       # counters, cache hit rates
     obs.write_trace(t, "out.json")          # load in Perfetto
     print(obs.summarize(t))                 # latency histograms
     print(obs.analyze_trace(t).render())    # critical path + g/l fit
@@ -21,18 +24,22 @@ from repro.obs.tracer import (
     MACHINE_TRACK,
     NONABSTRACT_ARGS,
     NONABSTRACT_PREFIXES,
+    CacheReport,
+    PerfStats,
     Trace,
     TraceRecord,
     add_sink,
+    count,
+    enabled,
     event,
     is_active,
-    is_tracing,
     process_track,
     record,
     remove_sink,
     resume,
     span,
     start,
+    stats,
     stop,
     trace,
 )
@@ -64,12 +71,14 @@ from repro.obs import metrics
 __all__ = [
     "ANALYZE_FORMATS",
     "AnalysisReport",
+    "CacheReport",
     "CalibrationFit",
     "DriftRow",
     "INFERENCE_TRACK",
     "MACHINE_TRACK",
     "NONABSTRACT_ARGS",
     "NONABSTRACT_PREFIXES",
+    "PerfStats",
     "SpanHistogram",
     "SuperstepBreakdown",
     "TRACE_FORMATS",
@@ -77,10 +86,11 @@ __all__ = [
     "TraceRecord",
     "add_sink",
     "analyze_trace",
+    "count",
+    "enabled",
     "event",
     "histograms",
     "is_active",
-    "is_tracing",
     "load_trace",
     "metrics",
     "process_track",
@@ -89,6 +99,7 @@ __all__ = [
     "resume",
     "span",
     "start",
+    "stats",
     "stop",
     "summarize",
     "superstep_rows",

@@ -1,11 +1,11 @@
 """A label-aware metrics registry with Prometheus text exposition.
 
-Where :mod:`repro.perf` gives one *request* a window of counters and
-:mod:`repro.obs.tracer` gives one *run* a span timeline, this module is
-the long-lived aggregate view a running service needs: process-wide
-**counters**, **gauges** and fixed-bucket streaming **histograms**
-(O(1) memory per series — cumulative bucket counts plus sum and count,
-never the raw samples), each optionally split by a small set of labels.
+Where a :mod:`repro.obs.tracer` window gives one *request* its counts
+or its span timeline, this module is the long-lived aggregate view a
+running service needs: process-wide **counters**, **gauges** and
+fixed-bucket streaming **histograms** (O(1) memory per series —
+cumulative bucket counts plus sum and count, never the raw samples),
+each optionally split by a small set of labels.
 
 Three sources feed the registry:
 
@@ -20,7 +20,7 @@ Three sources feed the registry:
 * the **service layer** — :mod:`repro.service.server` observes
   per-route/engine/backend request latency and maintains the admission
   gauges; :mod:`repro.service.cache` counts response-cache hits;
-* the **perf layer** — :mod:`repro.perf.bridge` contributes scrape-time
+* the **memo caches** — :func:`cache_metrics` contributes scrape-time
   samples for every registered solver cache and intern pool.
 
 Collection is **disabled by default** and reference-counted:
@@ -46,6 +46,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro import perf
 from repro.obs import tracer
 from repro.obs.tracer import TraceRecord
 
@@ -133,7 +134,7 @@ class MetricSample:
 @dataclass
 class MetricData:
     """One family as rendered: name, kind, help and its samples.  This is
-    also what scrape-time collectors (the perf bridge) return."""
+    also what scrape-time collectors (:func:`cache_metrics`) return."""
 
     name: str
     kind: str  # counter | gauge | histogram
@@ -432,7 +433,7 @@ class MetricsRegistry:
 
     def register_collector(self, fn: Callable[[], Iterable[MetricData]]) -> None:
         """Add a scrape-time collector contributing extra families (the
-        perf-layer cache bridge).  Idempotent per callable."""
+        solver-cache scrape).  Idempotent per callable."""
         with self._lock:
             if fn not in self._collectors:
                 self._collectors.append(fn)
@@ -614,6 +615,63 @@ def _trace_sink(record: TraceRecord) -> None:
         ROLLBACKS_TOTAL.inc(phase=str(record.arg("phase", "")))
 
 
+# -- the memo-cache scrape ----------------------------------------------------
+
+
+def cache_metrics() -> List[MetricData]:
+    """Current solver-cache and intern-pool statistics as metric data.
+
+    The caches (:func:`repro.perf.register_cache`) and intern pools
+    already keep lifetime totals, so they are read at scrape time rather
+    than double-counted on the hot path.  Hit/miss totals are counters
+    (an explicit ``clear_caches()`` in a benchmark shows as a reset,
+    which Prometheus-style consumers handle); sizes are gauges.
+    """
+    calls = MetricData(
+        "repro_solver_cache_requests_total",
+        "counter",
+        "Solver memoization cache lookups by cache and result.",
+    )
+    size = MetricData(
+        "repro_solver_cache_size",
+        "gauge",
+        "Live entries per solver memoization cache.",
+    )
+    evictions = MetricData(
+        "repro_solver_cache_evictions_total",
+        "counter",
+        "LRU evictions per solver memoization cache.",
+    )
+    for name, fn in sorted(perf.registered_caches().items()):
+        info = fn.cache_info()
+        calls.samples.append(
+            MetricSample("", (("cache", name), ("result", "hit")), info.hits)
+        )
+        calls.samples.append(
+            MetricSample("", (("cache", name), ("result", "miss")), info.misses)
+        )
+        size.samples.append(MetricSample("", (("cache", name),), info.currsize))
+        evictions.samples.append(
+            MetricSample("", (("cache", name),), getattr(fn, "evictions", 0))
+        )
+
+    pools = MetricData(
+        "repro_intern_pool_size",
+        "gauge",
+        "Live hash-consed nodes per intern pool.",
+    )
+    try:
+        from repro.core.types import intern_pool_stats
+
+        for pool_name, count in sorted(intern_pool_stats().items()):
+            pools.samples.append(MetricSample("", (("pool", pool_name),), count))
+    except Exception:
+        # The scrape must not depend on the core layer being importable
+        # (e.g. a stripped-down deployment exposing only the service).
+        pass
+    return [calls, evictions, pools, size]
+
+
 # -- enable/disable (reference counted) ---------------------------------------
 
 _STATE_LOCK = threading.Lock()
@@ -629,7 +687,7 @@ def enable() -> None:
     """Turn metrics collection on (reference counted).
 
     Installs the trace sink so superstep/inference/fault records feed
-    the histograms, and registers the perf-layer cache bridge as a
+    the histograms, and registers :func:`cache_metrics` as a
     scrape-time collector.
     """
     global _ENABLED_DEPTH
@@ -637,8 +695,6 @@ def enable() -> None:
         _ENABLED_DEPTH += 1
         if _ENABLED_DEPTH == 1:
             tracer.add_sink(_trace_sink)
-            from repro.perf.bridge import cache_metrics
-
             _GLOBAL.register_collector(cache_metrics)
 
 

@@ -1,48 +1,23 @@
-"""Performance observability for the inference pipeline and BSP engine.
+"""The solver layer's memo caches and their registry.
 
-See :mod:`repro.perf.counters` for the design.  Typical use::
-
-    from repro import perf
-
-    with perf.collect() as stats:
-        infer(expr)
-    print(stats.render())
+Instrumentation — counters, timers, cache hit-rate reports — lives in
+:mod:`repro.obs`; this package only owns the caches it reports on.
 """
 
-from repro.perf.counters import (
-    CacheReport,
-    PerfStats,
-    add_time,
-    clear_caches,
-    collect,
-    increment,
-    is_collecting,
-    register_cache,
-    registered_caches,
-    start,
-    stop,
-    timed,
-)
 from repro.perf.memo import (
     BoundedMemo,
     bounded_memo,
+    clear_caches,
+    register_cache,
+    registered_caches,
     resize_registered,
 )
 
 __all__ = [
     "BoundedMemo",
-    "CacheReport",
-    "PerfStats",
-    "add_time",
     "bounded_memo",
     "clear_caches",
-    "collect",
-    "increment",
-    "is_collecting",
     "register_cache",
     "registered_caches",
     "resize_registered",
-    "start",
-    "stop",
-    "timed",
 ]

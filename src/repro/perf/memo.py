@@ -1,4 +1,5 @@
-"""Bounded, eviction-counting memoization for the solver layer.
+"""Bounded, eviction-counting memoization for the solver layer, and the
+registry of memo caches the cache reports and metrics read.
 
 ``functools.lru_cache`` served the solver caches well for one-shot CLI
 runs, but it has two problems over a *server lifetime*:
@@ -14,13 +15,17 @@ runs, but it has two problems over a *server lifetime*:
 
 :class:`BoundedMemo` is a drop-in replacement with the same observable
 surface (``cache_info()``, ``cache_clear()``, registration with
-:func:`repro.perf.register_cache`) plus:
+:func:`register_cache`) plus:
 
 * an explicit, *runtime-resizable* LRU bound (:meth:`BoundedMemo.resize`
   — the service sizes the solver caches to its memory budget at boot);
 * a monotonic ``evictions`` counter, reported as a delta by
-  :class:`repro.perf.counters.CacheReport` and incremented under the
-  ``cache.evict.<name>`` perf counter while a collection window is open.
+  :class:`repro.obs.CacheReport` and counted under ``cache.evict.<name>``
+  while a stats window is open.
+
+Every registered cache is keyed on hash-consed immutable nodes (see
+:mod:`repro.core.types` and :mod:`repro.core.constraints`), so entries
+can never go stale — the only eviction is the LRU bound.
 
 Thread-safety follows ``lru_cache``'s discipline: lookups and inserts
 take a short lock, the wrapped function runs **outside** the lock (so
@@ -33,9 +38,39 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Dict, NamedTuple, Optional
 
-from repro.perf import counters
+from repro import obs
+
+#: Registry of memoized functions: name -> cached callable.
+_REGISTERED_CACHES: Dict[str, Callable[..., Any]] = {}
+
+
+def register_cache(name: str, fn: Callable[..., Any]) -> Callable[..., Any]:
+    """Register a memoized function (anything with ``cache_info()``,
+    e.g. ``lru_cache`` or :class:`BoundedMemo`) for cache reporting.
+
+    Returns ``fn`` so it can be used as a decoration step.
+    """
+    if not hasattr(fn, "cache_info"):
+        raise TypeError(f"cache {name!r} has no cache_info(); wrap with lru_cache")
+    _REGISTERED_CACHES[name] = fn
+    return fn
+
+
+def registered_caches() -> Dict[str, Callable[..., Any]]:
+    """A snapshot of the cache registry (name -> cached function)."""
+    return dict(_REGISTERED_CACHES)
+
+
+def clear_caches() -> None:
+    """Empty every registered memoization cache (cold-start state).
+
+    Only benchmarks and tests should need this; correctness never does,
+    because all cached functions are pure over immutable interned nodes.
+    """
+    for fn in _REGISTERED_CACHES.values():
+        fn.cache_clear()
 
 
 class CacheInfo(NamedTuple):
@@ -103,7 +138,7 @@ class BoundedMemo:
         while len(self._data) > self._maxsize:
             self._data.popitem(last=False)
             self.evictions += 1
-            counters.increment(f"cache.evict.{self.name}")
+            obs.count(f"cache.evict.{self.name}")
 
     def cache_info(self) -> CacheInfo:
         with self._lock:
@@ -147,7 +182,7 @@ def resize_registered(maxsize: int, prefix: str = "") -> int:
     were resized.  The service calls this at boot to fit the solver
     caches to its configured memory budget."""
     resized = 0
-    for name, fn in counters.registered_caches().items():
+    for name, fn in _REGISTERED_CACHES.items():
         if isinstance(fn, BoundedMemo) and name.startswith(prefix):
             fn.resize(maxsize)
             resized += 1

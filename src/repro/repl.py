@@ -47,7 +47,7 @@ from __future__ import annotations
 import sys
 from typing import Dict, Optional, TextIO
 
-from repro import obs, perf
+from repro import obs
 from repro.bsp.executor import BACKENDS, get_executor
 from repro.bsp.faults import FaultSpecError, parse_fault_spec
 from repro.bsp.machine import BspMachine
@@ -88,7 +88,7 @@ class Session:
         #: seed, on every :meth:`reset`); None when faults are off.
         self.fault_spec = fault_spec
         #: Session-long perf window, installed by :func:`run_repl`.
-        self.perf_stats: Optional[perf.PerfStats] = None
+        self.perf_stats: Optional[obs.PerfStats] = None
         #: Structured trace window (``:trace on`` or ``--trace FILE``);
         #: survives :meth:`reset` — it observes the session, not one
         #: machine incarnation.
@@ -336,9 +336,10 @@ class Session:
     def _trace_meta(self, word: str, rest: str, out: TextIO) -> None:
         """``:trace on|off|save FILE [format]|status``."""
         collector = self.trace_collector
-        # obs.is_tracing() is true whenever *anyone* collects — including
-        # the global metrics sink — so the session's own window state
-        # must be read with is_active(collector).
+        # obs.enabled() is true whenever *anyone* listens — including
+        # the session's stats window and the global metrics sink — so the
+        # session's own trace window state must be read with
+        # is_active(collector).
         if word == "on":
             if collector is not None and obs.is_active(collector):
                 print(
@@ -486,7 +487,7 @@ def run_repl(
             ":quit to leave, :type/:explain/:trace/:cost/:stats for tools",
             file=out,
         )
-    session.perf_stats = perf.start()
+    session.perf_stats = obs.start(obs.PerfStats())
     try:
         while True:
             if interactive:
@@ -497,7 +498,7 @@ def run_repl(
             if not session.handle(line, out):
                 return 0
     finally:
-        perf.stop(session.perf_stats)
+        obs.stop(session.perf_stats)
         if session.metrics_on:
             obs.metrics.disable()
             session.metrics_on = False

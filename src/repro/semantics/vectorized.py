@@ -54,7 +54,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import perf
+from repro import obs
 from repro.bsp.machine import BspMachine
 from repro.lang.ast import (
     Annot,
@@ -871,9 +871,8 @@ def _split(
     peeled through the compiled scalar twin over materialized frames.
     Survivors of both sides rejoin as the new active set."""
     vx.flush()
-    if perf.is_collecting():
-        perf.increment("semantics.vectorized.peel_events")
-        perf.increment("semantics.vectorized.fallback_pids", len(peel_lanes))
+    obs.count("semantics.vectorized.peel_events")
+    obs.count("semantics.vectorized.fallback_pids", len(peel_lanes))
     out = [None] * vx.p
     vx.active = batch_lanes
     try:
@@ -1080,9 +1079,8 @@ def _vapply(vx: _VectorCtx, fn_column: List, arg_column: List):
         # Closures without shared code charge per lane as they run —
         # leave lockstep accounting before the scalar applications.
         vx.flush()
-        if perf.is_collecting():
-            perf.increment("semantics.vectorized.peel_events")
-            perf.increment("semantics.vectorized.fallback_pids", len(active))
+        obs.count("semantics.vectorized.peel_events")
+        obs.count("semantics.vectorized.fallback_pids", len(active))
     out = [None] * p
     for lane in list(active):
         try:
@@ -1148,10 +1146,7 @@ class _VectorRuntime(_Runtime):
         if machine.faults is not None or machine.retry is not None:
             # A retry re-executes tasks; replaying a memoized outcome
             # would skip lane effects the scalar engines re-run.
-            if perf.is_collecting():
-                perf.increment(
-                    "semantics.vectorized.fallback_pids", self.p
-                )
+            obs.count("semantics.vectorized.fallback_pids", self.p)
             return False
         return True
 
@@ -1159,8 +1154,7 @@ class _VectorRuntime(_Runtime):
         if not self._batchable():
             return c._mkpar(self, fn)
         p = self.p
-        if perf.is_collecting():
-            perf.increment("semantics.vectorized.batched_steps")
+        obs.count("semantics.vectorized.batched_steps")
         vx = _VectorCtx(p, self.vcache)
         results: List = [None] * p
         with deep_recursion():
@@ -1186,8 +1180,7 @@ class _VectorRuntime(_Runtime):
         if not self._batchable():
             return c._parallel_apply(self, arg)
         p = self.p
-        if perf.is_collecting():
-            perf.increment("semantics.vectorized.batched_steps")
+        obs.count("semantics.vectorized.batched_steps")
         vx = _VectorCtx(p, self.vcache)
         results: List = [None] * p
         with deep_recursion():
@@ -1209,8 +1202,7 @@ class _VectorRuntime(_Runtime):
         if not self._batchable():
             return c._put(self, arg)
         p = self.p
-        if perf.is_collecting():
-            perf.increment("semantics.vectorized.batched_steps")
+        obs.count("semantics.vectorized.batched_steps")
         vx = _VectorCtx(p, self.vcache)
         senders = arg.items  # the tuple itself: app_cache-eligible
         columns: List[List] = []

@@ -19,8 +19,8 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Generic, List, Optional, Tuple, TypeVar
 
+from repro import obs
 from repro.obs import metrics
-from repro.perf import counters
 
 V = TypeVar("V")
 
@@ -65,13 +65,13 @@ class ShardedCache(Generic[V]):
                 value = shard.data[key]
             except KeyError:
                 shard.misses += 1
-                counters.increment("service.cache.miss")
+                obs.count("service.cache.miss")
                 if metrics.is_enabled():
                     metrics.CACHE_REQUESTS_TOTAL.inc(result="miss")
                 return None
             shard.data.move_to_end(key)
             shard.hits += 1
-            counters.increment("service.cache.hit")
+            obs.count("service.cache.hit")
             if metrics.is_enabled():
                 metrics.CACHE_REQUESTS_TOTAL.inc(result="hit")
             return value
@@ -84,7 +84,7 @@ class ShardedCache(Generic[V]):
             while len(shard.data) > shard.capacity:
                 shard.data.popitem(last=False)
                 shard.evictions += 1
-                counters.increment("service.cache.evict")
+                obs.count("service.cache.evict")
                 if metrics.is_enabled():
                     metrics.CACHE_REQUESTS_TOTAL.inc(result="evict")
 

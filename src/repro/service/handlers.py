@@ -22,6 +22,7 @@ import itertools
 import json
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -35,7 +36,7 @@ from repro.core.infer import INFER_ENGINES, infer
 from repro.core.prelude_env import prelude_env
 from repro.core.schemes import ConstrainedType, TypeEnv, generalize
 from repro.core.types import _variable_display_names, intern_pool_stats, render_type
-from repro.lang import parse_program, pretty, with_prelude
+from repro.lang import parse_program, pretty
 from repro.lang.ast import Expr, Let
 from repro.lang.errors import ParseError, ReproError
 from repro.lang.limits import deep_recursion
@@ -199,6 +200,17 @@ def _parse(source: Any) -> Expr:
         return parse_program(source)
     except ParseError as error:
         raise RequestError(400, "parse", str(error)) from error
+    except RecursionError as error:
+        raise RequestError(422, "recursion", "program exceeds parser depth") from error
+
+
+def _infer(expr: Expr, env: Optional[TypeEnv], options: Dict[str, Any]) -> ConstrainedType:
+    try:
+        return infer(expr, env, engine=options["infer_engine"])
+    except TypingError as error:
+        raise RequestError(422, "type", str(error)) from error
+    except RecursionError as error:
+        raise RequestError(422, "recursion", "program exceeds inference depth") from error
 
 
 class ServiceCore:
@@ -235,6 +247,9 @@ class ServiceCore:
             "prelude": payload.get("prelude", True),
             "faults": payload.get("faults"),
         }
+        for knob in ("p", "g", "l"):  # bool subclasses int: True would pass as 1
+            if isinstance(options[knob], bool):
+                raise RequestError(400, "bad-request", f"{knob} must be a number, not a boolean")
         if not isinstance(options["p"], int) or options["p"] < 1:
             raise RequestError(400, "bad-request", f"p must be a positive int, got {options['p']!r}")
         for knob in ("g", "l"):
@@ -284,10 +299,7 @@ class ServiceCore:
         if cached is not None:
             return 200, cached, "hit"
         env = prelude_env() if options["prelude"] else TypeEnv.empty()
-        try:
-            ct = infer(expr, env, engine=options["infer_engine"])
-        except TypingError as error:
-            raise RequestError(422, "type", str(error)) from error
+        ct = _infer(expr, env, options)
         type_text, constraint_text = _render_constrained(ct)
         scheme = generalize(ct, env)
         body = serialize(
@@ -336,37 +348,25 @@ class ServiceCore:
         type_text = constraint_text = None
         if options["typed"]:
             env = prelude_env() if options["prelude"] else None
-            try:
-                ct = infer(expr, env, engine=options["infer_engine"])
-            except TypingError as error:
-                raise RequestError(422, "type", str(error)) from error
+            ct = _infer(expr, env, options)
             type_text, constraint_text = _render_constrained(ct)
 
-        runnable = with_prelude(expr) if options["prelude"] else expr
         params = BspParams(p=options["p"], g=options["g"], l=options["l"])
-        trace_window = obs.trace() if self.config.trace_summaries else None
+        trace_window = obs.trace() if self.config.trace_summaries else nullcontext()
         try:
-            if trace_window is not None:
-                with trace_window as collected:
-                    result = run_costed(
-                        runnable,
-                        params,
-                        backend=options["backend"],
-                        faults=faults,
-                        retry=retry,
-                        engine=options["engine"],
-                    )
-                trace_summary = obs.summarize(collected)
-            else:
+            # run_costed links the prelude under deep_recursion, so a
+            # deep program fails (or runs) the same with or without it.
+            with trace_window as collected:
                 result = run_costed(
-                    runnable,
+                    expr,
                     params,
+                    use_prelude=options["prelude"],
                     backend=options["backend"],
                     faults=faults,
                     retry=retry,
                     engine=options["engine"],
                 )
-                trace_summary = None
+            trace_summary = None if collected is None else obs.summarize(collected)
         except StuckError as error:
             raise RequestError(422, "stuck", str(error)) from error
         except BspFaultError as error:

@@ -7,7 +7,7 @@ from functools import partial
 
 import pytest
 
-from repro import perf
+from repro import obs
 from repro.bsp.executor import (
     BACKENDS,
     ProcessExecutor,
@@ -101,7 +101,7 @@ class TestThread:
 class TestProcess:
     def test_picklable_tasks_cross_the_boundary(self):
         executor = get_executor("process")
-        with perf.collect() as stats:
+        with obs.stats() as stats:
             outcomes = executor.run(_tasks(3))
         assert [outcome.value[0] for outcome in outcomes] == [0, 1, 4]
         assert stats.counter("bsp.backend.process.inline") == 0
@@ -116,7 +116,7 @@ class TestProcess:
 
         with pytest.raises(Exception):
             pickle.dumps(local_task)
-        with perf.collect() as stats:
+        with obs.stats() as stats:
             outcomes = executor.run([local_task])
         assert outcomes[0].value == ("ran here", 1.0)
         assert witness == [True]  # side effect landed in this process
@@ -129,7 +129,7 @@ class TestProcess:
         executor = get_executor("process")
         shared = tuple(range(100))
         tasks = [partial(_pick_task, shared, i) for i in range(4)]
-        with perf.collect() as stats:
+        with obs.stats() as stats:
             outcomes = executor.run(tasks)
         assert [outcome.value[0] for outcome in outcomes] == [0, 1, 2, 3]
         assert stats.counter("bsp.backend.process.inline") == 0
@@ -194,7 +194,7 @@ class TestProcessFallbackErrors:
 
     def test_unexpected_pickle_failure_is_recorded_not_discarded(self):
         executor = get_executor("process")
-        with perf.collect() as stats:
+        with obs.stats() as stats:
             outcomes = executor.run([_ReduceBomb(3)])
         # The task still runs (inline fallback keeps the machine going)...
         assert outcomes[0].value == (6, 1.0)
@@ -214,7 +214,7 @@ class TestProcessFallbackErrors:
             witness.append(True)
             return "ok", 1.0
 
-        with perf.collect() as stats:
+        with obs.stats() as stats:
             outcomes = executor.run([local_task])
         assert outcomes[0].value == ("ok", 1.0)
         # A closure is unpicklable *by design*: the cause is still
@@ -245,7 +245,7 @@ class TestBrokenPoolRecovery:
         machine, executor = self._machine(retry=RetryPolicy(max_attempts=3))
         sentinel = str(tmp_path / "died-once")
         try:
-            with perf.collect() as stats:
+            with obs.stats() as stats:
                 values = machine.run_superstep(
                     [partial(_die_once, sentinel, i) for i in range(2)]
                 )

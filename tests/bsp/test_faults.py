@@ -7,7 +7,7 @@ from functools import partial
 
 import pytest
 
-from repro import perf
+from repro import obs
 from repro.bsp.executor import BACKENDS, get_executor
 from repro.bsp.faults import (
     FaultPlan,
@@ -169,7 +169,7 @@ class TestTransactionalCompute:
             faults=FaultPlan(seed=0, crash=0.6),
             retry=RetryPolicy(max_attempts=50),
         )
-        with perf.collect() as stats:
+        with obs.stats() as stats:
             machine.run_superstep(_tasks(4))
         assert stats.counter("bsp.fault.crash") > 0
         assert stats.counter("bsp.retry.attempts") > 0
@@ -210,7 +210,7 @@ class TestTransactionalExchange:
 
     def test_exchange_fault_counts(self):
         machine = _machine(faults=FaultPlan(seed=4, drop=1.0))
-        with perf.collect() as stats:
+        with obs.stats() as stats:
             with pytest.raises(SuperstepFault):
                 self._exchange(machine)
         assert stats.counter("bsp.fault.drop") > 0

@@ -17,7 +17,7 @@ import gc
 
 import pytest
 
-from repro import perf
+from repro import obs, perf
 from repro.core.constraints import SOLVER_CACHE_SIZE
 from repro.core.infer import infer
 from repro.core.types import BOOL, INT, TArrow, intern_pool_stats
@@ -92,7 +92,7 @@ def test_interning_identity_survives_eviction(small_solver_caches):
 
 
 def test_eviction_counters_surface_in_cache_reports(small_solver_caches):
-    with perf.collect() as stats:
+    with obs.stats() as stats:
         for i in range(PROGRAMS // 2):
             infer(parse_program(_distinct_program(i)))
     reports = {r.name: r for r in stats.cache_reports()}

@@ -313,11 +313,10 @@ class TestSimplifyAndHornMemoization:
         assert "constraints.horn_satisfiable" in names
 
     def test_counters_surface_in_stats_render(self):
-        import repro.perf as perf
-
+        from repro import obs
         from repro.core.constraints import horn_satisfiable
 
-        with perf.collect() as stats:
+        with obs.stats() as stats:
             for i in range(40_000, 40_004):
                 simplify(self._distinct_constraint(i))
                 simplify(self._distinct_constraint(i))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import perf
+from repro import obs
 from repro.core.errors import TypingError
 from repro.core.incremental import (
     Definition,
@@ -39,7 +39,7 @@ def test_first_check_infers_everything():
 def test_identical_recheck_reuses_everything():
     checker = IncrementalChecker()
     checker.check(defs(*CHAIN))
-    with perf.collect() as stats:
+    with obs.stats() as stats:
         results = checker.check(defs(*CHAIN))
     assert [r.reused for r in results] == [True, True, True]
     assert stats.counter("incremental.reused") == 3
@@ -54,7 +54,7 @@ def test_editing_middle_definition_reinfers_only_downstream():
         ("quad", "fun x -> square x + square x"),  # the edit
         CHAIN[2],
     )
-    with perf.collect() as stats:
+    with obs.stats() as stats:
         results = checker.check(edited)
     # Upstream reused; the edit and everything after re-inferred (main's
     # environment token changed even though its source did not).

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import perf
+from repro import obs
 from repro.core.infer import (
     INFER_ENGINES,
     get_infer_engine,
@@ -139,7 +139,7 @@ class TestMilnerSeparation:
 class TestUfCounters:
     def test_uf_counters_emitted(self):
         expr = parse("let f = fun x -> x in (f 1, f true)")
-        with perf.collect() as stats:
+        with obs.stats() as stats:
             infer(expr, engine="uf")
         assert stats.counter("infer.uf.runs") == 1
         assert stats.counter("infer.uf.binds") > 0
@@ -150,7 +150,7 @@ class TestUfCounters:
 
     def test_w_engine_emits_no_uf_counters(self):
         expr = parse("let f = fun x -> x in (f 1, f true)")
-        with perf.collect() as stats:
+        with obs.stats() as stats:
             infer(expr, engine="w")
         assert stats.counter("infer.uf.runs") == 0
         assert stats.counter("infer.runs") == 1
@@ -164,6 +164,6 @@ class TestUfCounters:
             let a = if true then x0 else x1 in
             let b = if true then x1 else x2 in
             x2 + 0"""
-        with perf.collect() as stats:
+        with obs.stats() as stats:
             infer(parse(source), engine="uf")
         assert stats.counter("infer.uf.compressions") > 0

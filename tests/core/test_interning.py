@@ -123,11 +123,11 @@ class TestCachedSolverAgreement:
             assert is_valid(constraint) == is_valid.__wrapped__(constraint)
 
     def test_repeated_calls_hit_the_cache(self):
-        from repro import perf
+        from repro import obs
 
         constraint = imp(CLoc("cache_probe"), conj(CLoc("x"), CLoc("y")))
         solve(constraint)  # prime
-        with perf.collect() as stats:
+        with obs.stats() as stats:
             for _ in range(5):
                 solve(constraint)
         assert stats.hit_rate("constraints.solve") == 1.0

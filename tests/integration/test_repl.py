@@ -162,10 +162,10 @@ class TestStats:
         assert "perf stats:" in out.getvalue()
 
     def test_stats_window_closed_after_exit(self):
-        from repro import perf
+        from repro import obs
 
         run_repl(io.StringIO(""), io.StringIO(), params=BspParams(p=2))
-        assert not perf.is_collecting()
+        assert not obs.enabled()
 
 
 class TestBackendCommand:
@@ -395,7 +395,7 @@ class TestTraceCommand:
 
         stdin = io.StringIO(":trace on\n1 + 1\n")
         run_repl(stdin, io.StringIO(), params=BspParams(p=2), banner=False)
-        assert not obs.is_tracing()
+        assert not obs.enabled()
 
 
 class TestRunReplTraceFile:
@@ -441,7 +441,7 @@ class TestRunReplTraceFile:
             params=BspParams(p=2),
             trace_file=str(tmp_path / "t.json"),
         )
-        assert not obs.is_tracing()
+        assert not obs.enabled()
 
 
 class TestStatsVerbose:

@@ -60,3 +60,11 @@ class TestDeepPrograms:
     def test_deep_application_chain(self):
         source = "let f = fun x -> x + 1 in " + "f (" * 200 + "0" + ")" * 200
         assert run(parse_expression(source), 1) == 200
+
+    @pytest.mark.parametrize("use_prelude", [False, True])
+    def test_run_program_links_the_prelude_under_the_guard(self, use_prelude):
+        from repro import run_program
+
+        source = " + ".join(["1"] * 1500)
+        result = run_program(source, p=2, use_prelude=use_prelude)
+        assert result.python_value == 1500

@@ -51,10 +51,10 @@ class TestFreeVars:
 
 class TestFreeVarsMemo:
     def test_repeated_calls_hit_the_cache(self):
-        from repro import perf
+        from repro import obs
 
         expr = parse("fun x -> x + y")
-        with perf.collect() as stats:
+        with obs.stats() as stats:
             first = free_vars(expr)
             second = free_vars(expr)
             third = free_vars(expr)
@@ -65,11 +65,11 @@ class TestFreeVarsMemo:
         assert 0 < misses <= expr.size()
 
     def test_subterms_are_cached_by_the_outer_walk(self):
-        from repro import perf
+        from repro import obs
 
         expr = parse("(fun x -> x + y) (y + z)")
         free_vars(expr)  # populates every node's cache
-        with perf.collect() as stats:
+        with obs.stats() as stats:
             assert free_vars(expr.fn) == {"y"}
             assert free_vars(expr.arg) == {"y", "z"}
         assert stats.counter("lang.free_vars.miss") == 0

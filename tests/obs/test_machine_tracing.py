@@ -82,7 +82,7 @@ class TestSuperstepPhases:
         m = machine()
         values = m.run_superstep(tasks())
         assert values == [0, 1, 2, 3]
-        assert not obs.is_tracing()
+        assert not obs.enabled()
 
 
 class TestFaultTracing:

@@ -1,10 +1,10 @@
-"""Regression: perf/trace collection windows are context-isolated.
+"""Regression: stats/trace collection windows are context-isolated.
 
 Before the :mod:`contextvars` refactor, the active-collector stacks of
-:mod:`repro.perf.counters` and :mod:`repro.obs.tracer` were module-global
-lists: two inferences traced concurrently (the long-running service's
-normal situation) appended every record to *both* collectors, producing
-interleaved span stacks and double-counted counters.  These tests run
+the instrumentation were module-global lists: two inferences traced
+concurrently (the long-running service's normal situation) appended
+every record to *both* collectors, producing interleaved span stacks
+and double-counted counters.  These tests run
 two traced/collected inferences concurrently on separate threads and
 assert each window saw exactly — and only — its own work.
 """
@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from repro import obs, perf
+from repro import obs
 from repro.core.infer import infer
 from repro.lang.parser import parse_program
 
@@ -39,7 +39,7 @@ def _walk(expr):
 def _traced_inference(source: str, barrier: threading.Barrier, out: dict) -> None:
     expr = parse_program(source)
     barrier.wait(timeout=10)
-    with perf.collect() as stats, obs.trace() as collected:
+    with obs.stats() as stats, obs.trace() as collected:
         for _ in range(20):
             infer(expr)
     out[source] = (stats, collected)
@@ -118,10 +118,10 @@ def test_thread_without_window_records_nothing():
     stats_holder: dict = {}
 
     def bystander():
-        stats_holder["collecting"] = perf.is_collecting()
-        stats_holder["tracing"] = obs.is_tracing()
+        stats_holder["collecting"] = obs.is_active(window_stats)
+        stats_holder["tracing"] = obs.enabled()
 
-    with perf.collect(), obs.trace():
+    with obs.stats() as window_stats, obs.trace():
         thread = threading.Thread(target=bystander)
         thread.start()
         thread.join(timeout=10)

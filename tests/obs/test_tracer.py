@@ -1,4 +1,5 @@
-"""Tests for the trace model: records, spans, tracks, signatures."""
+"""Tests for the instrumentation stream: records, spans, counts, tracks,
+signatures, and the one window stack they share."""
 
 from __future__ import annotations
 
@@ -11,12 +12,12 @@ from repro import obs
 
 class TestDisabledPath:
     def test_not_tracing_by_default(self):
-        assert not obs.is_tracing()
+        assert not obs.enabled()
 
     def test_record_is_noop_when_inactive(self):
         obs.record("x", obs.MACHINE_TRACK, 0.0, 1.0)
         obs.event("y", obs.MACHINE_TRACK)
-        assert not obs.is_tracing()
+        assert not obs.enabled()
 
     def test_span_yields_none_when_inactive(self):
         with obs.span("x", obs.MACHINE_TRACK) as extra:
@@ -65,8 +66,8 @@ class TestCollection:
 
     def test_stack_unwinds(self):
         with obs.trace():
-            assert obs.is_tracing()
-        assert not obs.is_tracing()
+            assert obs.enabled()
+        assert not obs.enabled()
 
     def test_open_ended_window(self):
         collector = obs.start()
@@ -74,13 +75,13 @@ class TestCollection:
         obs.stop(collector)
         obs.event("after", obs.MACHINE_TRACK)
         assert [r.name for r in collector.records] == ["during"]
-        assert not obs.is_tracing()
+        assert not obs.enabled()
 
     def test_stop_is_idempotent(self):
         collector = obs.start()
         obs.stop(collector)
         obs.stop(collector)
-        assert not obs.is_tracing()
+        assert not obs.enabled()
 
     def test_resume_appends_after_pause(self):
         collector = obs.start()
@@ -131,6 +132,26 @@ class TestQueries:
             obs.event("e", "zcustom")
         assert t.tracks() == ["machine", "proc 2", "proc 10", "inference", "zcustom"]
 
+    def test_track_order_is_linear_in_tracks(self):
+        """``tracks()`` hashes each track name O(1) times: at p=16k the
+        old per-track ``set(ordered)`` rebuild cost p² hashes."""
+        hashes = [0]
+
+        class CountingTrack(str):
+            def __hash__(self):
+                hashes[0] += 1
+                return str.__hash__(self)
+
+        p = 16384
+        names = [obs.process_track(proc) for proc in range(p)] + ["b", "a"]
+        trace = obs.Trace(
+            records=[obs.TraceRecord("e", CountingTrack(name), 0.0) for name in names]
+        )
+        ordered = trace.tracks()
+        assert ordered[:3] == ["proc 0", "proc 1", "proc 2"]
+        assert ordered[-3:] == ["proc 16383", "a", "b"]
+        assert hashes[0] <= 4 * len(names)
+
 
 class TestAbstractSignature:
     def test_measured_args_are_filtered(self):
@@ -173,3 +194,51 @@ class TestAbstractSignature:
             obs.event("e", obs.MACHINE_TRACK, kind="crash")
         assert isinstance(hash(t.records[0]), int)
         assert t.records[0].args_dict() == {"kind": "crash"}
+
+
+class TestCounts:
+    def test_count_outside_any_window_is_noop(self):
+        obs.count("orphan")
+        with obs.stats() as stats:
+            pass
+        assert stats.counter("orphan") == 0
+
+    def test_count_and_timer_land_in_stats_windows_only(self):
+        with obs.trace() as t, obs.stats() as stats:
+            obs.count("events", 2)
+            obs.count("wait", 0.5, timer=True)
+        assert stats.counters == {"events": 2}
+        assert stats.timers == {"wait": 0.5}
+        assert t.records == []
+
+    def test_count_never_builds_a_record_or_reaches_a_sink(self, monkeypatch):
+        from repro.obs import tracer
+
+        seen = []
+        sink = seen.append
+        obs.add_sink(sink)
+        try:
+            with obs.stats() as stats:
+                monkeypatch.setattr(tracer, "TraceRecord", None)  # would raise
+                obs.count("quiet")
+                obs.count("quiet", 0.1, timer=True)
+        finally:
+            obs.remove_sink(sink)
+        assert seen == []
+        assert stats.counter("quiet") == 1
+
+    def test_timer_span_times_and_records_in_one_call(self):
+        with obs.trace() as t, obs.stats() as stats:
+            with obs.span("work", obs.INFERENCE_TRACK, timer=True):
+                pass
+        (record,) = t.records
+        assert stats.timers["work"] == record.dur
+
+    def test_windows_share_one_stack(self):
+        trace = obs.start()
+        stats = obs.start(obs.PerfStats())
+        assert obs.is_active(trace) and obs.is_active(stats)
+        obs.stop(trace)
+        assert obs.enabled() and not obs.is_active(trace)
+        obs.stop(stats)
+        assert not obs.enabled()

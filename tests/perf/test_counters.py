@@ -1,4 +1,5 @@
-"""Tests for the perf observability layer (counters, timers, caches)."""
+"""Tests for stats windows (counters, timers, cache reports) on the
+instrumentation stream, and for the memo-cache registry they read."""
 
 from __future__ import annotations
 
@@ -11,61 +12,59 @@ from repro import obs, perf
 
 class TestCounters:
     def test_increment_outside_collection_is_noop(self):
-        perf.increment("orphan")  # must not raise, must not record anywhere
-        with perf.collect() as stats:
+        obs.count("orphan")  # must not raise, must not record anywhere
+        with obs.stats() as stats:
             pass
         assert stats.counter("orphan") == 0
 
     def test_increment_inside_collection(self):
-        with perf.collect() as stats:
-            perf.increment("events")
-            perf.increment("events", 2)
+        with obs.stats() as stats:
+            obs.count("events")
+            obs.count("events", 2)
         assert stats.counter("events") == 3
 
     def test_missing_counter_reads_zero(self):
-        with perf.collect() as stats:
+        with obs.stats() as stats:
             pass
         assert stats.counter("never-touched") == 0
 
     def test_nested_collectors_each_see_their_window(self):
-        with perf.collect() as outer:
-            perf.increment("n")
-            with perf.collect() as inner:
-                perf.increment("n")
+        with obs.stats() as outer:
+            obs.count("n")
+            with obs.stats() as inner:
+                obs.count("n")
         assert outer.counter("n") == 2
         assert inner.counter("n") == 1
 
     def test_is_collecting(self):
-        assert not perf.is_collecting()
-        with perf.collect():
-            assert perf.is_collecting()
-        assert not perf.is_collecting()
+        assert not obs.enabled()
+        with obs.stats() as stats:
+            assert obs.enabled() and obs.is_active(stats)
+        assert not obs.enabled()
 
 
 class TestTimers:
     def test_timed_accumulates(self):
-        with perf.collect() as stats:
-            with perf.timed("work"):
+        with obs.stats() as stats:
+            with obs.span("work", obs.INFERENCE_TRACK, timer=True):
                 pass
-            with perf.timed("work"):
+            with obs.span("work", obs.INFERENCE_TRACK, timer=True):
                 pass
         assert stats.timers["work"] >= 0.0
 
     def test_timed_is_noop_when_inactive(self):
-        with perf.timed("ghost"):
-            pass  # no collector: nothing recorded, nothing raised
+        with obs.span("ghost", obs.INFERENCE_TRACK, timer=True) as extra:
+            assert extra is None  # no window: nothing recorded, nothing raised
 
     def test_render_mentions_sections(self):
-        with perf.collect() as stats:
-            perf.increment("a.count", 5)
-            with perf.timed("a.time"):
-                pass
+        with obs.stats() as stats:
+            obs.count("a.count", 5)
+            obs.count("a.time", 0.25, timer=True)
         text = stats.render()
         assert "a.count" in text and "a.time" in text
 
     def test_render_empty_window(self):
-        stats = perf.PerfStats()
-        stats.snapshot_caches()  # baseline == now: zero deltas everywhere
+        stats = obs.PerfStats()  # baseline == now: zero deltas everywhere
         assert "nothing recorded" in stats.render()
 
 
@@ -94,7 +93,7 @@ class TestCacheReports:
         perf.register_cache("test.double", double)
         try:
             double(1)  # a miss before the window opens
-            with perf.collect() as stats:
+            with obs.stats() as stats:
                 double(1)  # hit
                 double(2)  # miss
                 double(2)  # hit
@@ -104,10 +103,10 @@ class TestCacheReports:
             assert report.calls == 3
             assert report.hit_rate == pytest.approx(2 / 3)
         finally:
-            del perf.counters._REGISTERED_CACHES["test.double"]
+            del perf.memo._REGISTERED_CACHES["test.double"]
 
     def test_hit_rate_of_unknown_cache_raises(self):
-        with perf.collect() as stats:
+        with obs.stats() as stats:
             pass
         with pytest.raises(KeyError):
             stats.hit_rate("no-such-cache")
@@ -117,15 +116,13 @@ class TestRenderVerbose:
     def test_default_render_hides_zero_call_caches(self):
         import repro.core.constraints  # noqa: F401  (registers on import)
 
-        stats = perf.PerfStats()
-        stats.snapshot_caches()  # baseline == now: zero deltas everywhere
+        stats = obs.PerfStats()  # baseline == now: zero deltas everywhere
         assert "constraints.solve" not in stats.render()
 
     def test_verbose_render_includes_zero_call_caches(self):
         import repro.core.constraints  # noqa: F401
 
-        stats = perf.PerfStats()
-        stats.snapshot_caches()
+        stats = obs.PerfStats()
         text = stats.render(verbose=True)
         assert "constraints.solve" in text
         assert "0/0" in text
@@ -143,7 +140,7 @@ class TestRenderVerbose:
         perf.register_cache("test.zzz", zzz)
         perf.register_cache("test.aaa", aaa)
         try:
-            with perf.collect() as stats:
+            with obs.stats() as stats:
                 zzz(1)
                 aaa(1)
             names = [r.name for r in stats.cache_reports()]
@@ -151,24 +148,24 @@ class TestRenderVerbose:
             text = stats.render(verbose=True)
             assert text.index("test.aaa") < text.index("test.zzz")
         finally:
-            del perf.counters._REGISTERED_CACHES["test.zzz"]
-            del perf.counters._REGISTERED_CACHES["test.aaa"]
+            del perf.memo._REGISTERED_CACHES["test.zzz"]
+            del perf.memo._REGISTERED_CACHES["test.aaa"]
 
 
 class TestPerfAndTracingTogether:
-    """Nested perf.collect() scopes interacting with the tracer: the two
-    stacks are independent, and every active collector of each kind sees
-    the instrumentation fired inside its window."""
+    """Nested stats windows interacting with trace windows on the one
+    stack: every open window of each kind sees the instrumentation fired
+    inside it, and only the instrumentation meant for its kind."""
 
     def test_nested_perf_scopes_with_active_tracer(self):
         from repro import run_program
 
         with obs.trace() as trace:
-            with perf.collect() as outer:
+            with obs.stats() as outer:
                 run_program("mkpar (fun i -> i)", p=2)
                 first_runs = outer.counter("infer.runs")
                 spans_after_first = len(trace.records)
-                with perf.collect() as inner:
+                with obs.stats() as inner:
                     run_program("mkpar (fun i -> i + 1)", p=2)
         # both perf windows saw their own counter totals: the outer one
         # accumulated the first run plus everything the inner one saw
@@ -183,7 +180,7 @@ class TestPerfAndTracingTogether:
     def test_nested_tracers_with_active_perf_scope(self):
         from repro import run_program
 
-        with perf.collect() as stats:
+        with obs.stats() as stats:
             with obs.trace() as outer:
                 run_program("mkpar (fun i -> i)", p=2)
                 with obs.trace() as inner:
@@ -194,35 +191,39 @@ class TestPerfAndTracingTogether:
         assert len(outer.records) > len(inner.records)
         assert outer.records[-len(inner.records):] == inner.records
 
-    def test_perf_without_tracing_records_no_spans(self):
+    def test_perf_without_tracing_records_no_spans(self, monkeypatch):
         from repro import run_program
+        from repro.obs import tracer
 
-        with perf.collect() as stats:
-            run_program("mkpar (fun i -> i)", p=2)
+        with obs.stats() as stats:
+            monkeypatch.setattr(tracer, "TraceRecord", None)  # building one raises
+            run_program("bcast 1 (mkpar (fun i -> i))", p=2)
         assert stats.counter("infer.runs") > 0
-        assert not obs.is_tracing()
+        assert stats.counter("bsp.supersteps") == 1
+        assert stats.timers["infer"] > 0.0
 
     def test_tracing_without_perf_counts_nothing(self):
         from repro import run_program
 
         with obs.trace() as trace:
             run_program("mkpar (fun i -> i)", p=2)
-        assert not perf.is_collecting()
+        assert not obs.enabled()
         assert trace.spans("judgment")
+        assert not {"infer.runs", "infer.nodes"} & {r.name for r in trace.records}
 
 
 class TestStartStop:
     def test_open_ended_window(self):
-        stats = perf.start()
+        stats = obs.start(obs.PerfStats())
         try:
-            perf.increment("repl.events")
+            obs.count("repl.events")
         finally:
-            perf.stop(stats)
+            obs.stop(stats)
         assert stats.counter("repl.events") == 1
-        assert not perf.is_collecting()
+        assert not obs.enabled()
 
     def test_stop_is_idempotent(self):
-        stats = perf.start()
-        perf.stop(stats)
-        perf.stop(stats)
-        assert not perf.is_collecting()
+        stats = obs.start(obs.PerfStats())
+        obs.stop(stats)
+        obs.stop(stats)
+        assert not obs.enabled()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import perf
+from repro import obs
 from repro.bsp.params import BspParams
 from repro.testing import (
     ProgramGenerator,
@@ -83,7 +83,7 @@ def test_divergent_sweep_exercises_peeling():
     divergence handling."""
     from repro.semantics import run_costed
 
-    with perf.collect() as stats:
+    with obs.stats() as stats:
         for seed in range(40):
             run_costed(_divergent(seed), PARAMS, engine="vectorized")
     assert stats.counter("semantics.vectorized.batched_steps") > 0

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import perf
+from repro import obs
 from repro.bsp.faults import FaultPlan
 from repro.bsp.machine import BspMachine
 from repro.bsp.params import BspParams
@@ -57,7 +57,7 @@ def _agree3(source, env=None):
 
 
 def test_uniform_mkpar_batches_once():
-    with perf.collect() as stats:
+    with obs.stats() as stats:
         value, _ = _agree3("mkpar (fun i -> i * i)")
     assert isinstance(value, VParVec)
     assert value.items == (0, 1, 4, 9)
@@ -71,10 +71,10 @@ def test_uniform_mkpar_batches_once():
 def test_every_parallel_primitive_batches():
     # mkpar + mkpar + apply, then mkpar + put: each parallel superstep
     # is one batch.
-    with perf.collect() as stats:
+    with obs.stats() as stats:
         _agree3("apply (mkpar (fun i -> fun x -> i + x), mkpar (fun i -> i))")
     assert stats.counter("semantics.vectorized.batched_steps") == 3
-    with perf.collect() as stats:
+    with obs.stats() as stats:
         _agree3("put (mkpar (fun src -> fun dst -> src * 10 + dst))")
     assert stats.counter("semantics.vectorized.batched_steps") == 2
 
@@ -91,7 +91,7 @@ def test_batched_closures_capture_lane_state():
 
 
 def test_pid_divergent_if_peels_minority():
-    with perf.collect() as stats:
+    with obs.stats() as stats:
         value, _ = _agree3("mkpar (fun i -> if i = 0 then 100 else i)")
     assert value.items == (100, 1, 2, 3)
     # One split: pid 0 takes the minority branch and is peeled through
@@ -101,7 +101,7 @@ def test_pid_divergent_if_peels_minority():
 
 
 def test_pid_divergent_case_peels():
-    with perf.collect() as stats:
+    with obs.stats() as stats:
         value, _ = _agree3(
             "mkpar (fun i -> "
             "case (if i = 0 then inl i else inr i) of "
@@ -113,7 +113,7 @@ def test_pid_divergent_case_peels():
 
 
 def test_uniform_condition_does_not_peel():
-    with perf.collect() as stats:
+    with obs.stats() as stats:
         value, _ = _agree3("mkpar (fun i -> if nproc = 4 then i else 0 - i)")
     assert value.items == (0, 1, 2, 3)
     assert stats.counter("semantics.vectorized.peel_events") == 0
@@ -201,7 +201,7 @@ def test_armed_fault_plan_disables_batching():
     # compiled scalar path wholesale and say so in the counters.
     plan = FaultPlan(seed=0)  # all rates zero: survivable by definition
     expr = parse_expression("mkpar (fun i -> i * 3)")
-    with perf.collect() as stats:
+    with obs.stats() as stats:
         machine = BspMachine(PARAMS, faults=plan)
         value = VectorizedEvaluator(PARAMS.p, machine).eval(expr)
     assert value.items == (0, 3, 6, 9)

@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from repro import obs, perf
+from repro import obs
 from repro.obs import metrics
 from repro.obs.metrics import parse_prometheus
 from repro.service import ServiceConfig, ServiceCore, start_in_background
@@ -211,7 +211,7 @@ class TestConcurrentAggregationAndIsolation:
 
         # The observer's own context-local windows, opened while the load
         # runs on server worker threads.
-        with perf.collect() as window_stats, obs.trace() as window_trace:
+        with obs.stats() as window_stats, obs.trace() as window_trace:
             threads = [
                 threading.Thread(target=drive, args=(w,)) for w in range(workers)
             ]

@@ -168,6 +168,32 @@ class TestErrorMapping:
         )
         assert status == 400
 
+    @pytest.mark.parametrize("knob", ["p", "g", "l"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_numeric_knob_is_400(self, client, knob, value):
+        status, body, _ = client.request(
+            "POST", "/v1/run", {"program": "1", knob: value}
+        )
+        assert status == 400
+        assert body["error"]["kind"] == "bad-request"
+        assert "boolean" in body["error"]["message"]
+
+    @pytest.mark.parametrize("prelude", [False, True])
+    def test_deep_program_runs_with_and_without_prelude(self, client, prelude):
+        program = " + ".join(["1"] * 1500)
+        status, body, _ = client.request(
+            "POST", "/v1/run", {"program": program, "prelude": prelude, "p": 2}
+        )
+        assert status == 200
+        assert body["value"] == "1500"
+
+    @pytest.mark.parametrize("route", ["/v1/run", "/v1/typecheck"])
+    def test_too_deep_program_is_422_recursion(self, client, route):
+        for program in ("(" * 40000 + "1" + ")" * 40000, " + ".join(["1"] * 30000)):
+            status, body, _ = client.request("POST", route, {"program": program})
+            assert status == 422
+            assert body["error"]["kind"] == "recursion"
+
     def test_malformed_json_is_400(self, client):
         conn = client.connect()
         try:
