@@ -16,6 +16,12 @@ of the second engine — the speedup — and records the scaling curve:
 * ``SPEEDUP_FLOOR``: at every AST-size bucket >= ``SPEEDUP_AT_SIZE``
   the union-find engine must be at least 5x faster than the
   substitution engine on the same programs.
+* ``SLOPE_CEILING``: on each adversarial shape of ``SLOPE_SHAPES``
+  (deep ``let``, long ``+``, application chain, wide tuple, ``bcast``
+  chain) doubling ``n`` from 1000 to 2000 may at most 2.5x the union-find
+  engine's time — linear inference with room for noise, where a
+  quadratic query would show 4x.  Nested ``fun`` is recorded without a
+  bound: its output constraint alone has Θ(n²) size.
 
 Run with the tier-1 guard::
 
@@ -24,17 +30,23 @@ Run with the tier-1 guard::
 
 from __future__ import annotations
 
+import gc
 import time
 
 from repro.core.infer import infer
 from repro.core.prelude_env import prelude_env
 from repro.lang.parser import parse_expression as parse
+from repro.perf import clear_caches
 
 from _util import write_table
 
 SIZES = (30, 100, 250, 500, 1000, 2000)
 SPEEDUP_FLOOR = 5.0
 SPEEDUP_AT_SIZE = 500
+SLOPE_SIZES = (1000, 2000)
+SLOPE_CEILING = 2.5
+SLOPE_REPEATS = 5
+NESTED_FUN_SIZES = (20, 40, 80, 160)
 
 
 def _deep_let_program(n: int) -> str:
@@ -123,6 +135,109 @@ def test_union_find_speedup_guard(benchmark):
             )
     sample = buckets[500][0]
     benchmark(lambda: infer(sample, engine="uf"))
+
+
+def _shape_long_plus(n: int) -> str:
+    return " + ".join(["1"] * n)
+
+
+def _shape_app_chain(n: int) -> str:
+    return "(fun x -> x) (" * n + "1" + ")" * n
+
+
+def _shape_wide_tuple(n: int) -> str:
+    return "(" * (n - 1) + "0" + "".join(f", {i})" for i in range(1, n))
+
+
+def _shape_bcast_chain(n: int) -> str:
+    return "bcast 0 (" * n + "mkpar (fun i -> i)" + ")" * n
+
+
+def _shape_nested_fun(n: int) -> str:
+    return "".join(f"fun x{i} -> " for i in range(n)) + "x0"
+
+
+#: The shapes the slope guard bounds (the service's ``infer-shapes``
+#: benchmark workload types the same shapes at smaller sizes).
+SLOPE_SHAPES = {
+    "deep let": _deep_let_program,
+    "long +": _shape_long_plus,
+    "app chain": _shape_app_chain,
+    "wide tuple": _shape_wide_tuple,
+    "bcast chain": _shape_bcast_chain,
+}
+
+
+def _best_uf_seconds(programs, env, repeats: int = 1):
+    """Best-of-``repeats`` uf inference CPU time per program.
+
+    CPU time rather than wall clock, and the programs interleaved, so
+    that other load on the host stretches neither size more than the
+    other: the slope measures the engine's work.  Every run starts from
+    empty solver caches, so no run pays for evicting (and freeing) the
+    nodes a previous run left in them.
+    """
+    best = [float("inf")] * len(programs)
+    for _ in range(repeats):
+        for index, expr in enumerate(programs):
+            clear_caches()
+            gc.collect()
+            start = time.process_time()
+            infer(expr, env, engine="uf")
+            best[index] = min(best[index], time.process_time() - start)
+    return best
+
+
+def test_uf_shape_slope_guard(benchmark):
+    env = prelude_env()
+    rows = []
+    slopes = {}
+    for name, build in SLOPE_SHAPES.items():
+        small_s, large_s = _best_uf_seconds(
+            [parse(build(n)) for n in SLOPE_SIZES], env, SLOPE_REPEATS
+        )
+        slopes[name] = large_s / small_s
+        rows.append(
+            (
+                name,
+                f"{small_s * 1e3:.1f}",
+                f"{large_s * 1e3:.1f}",
+                f"{slopes[name]:.2f}x",
+                f"<= {SLOPE_CEILING}x",
+            )
+        )
+    nested = _best_uf_seconds(
+        [parse(_shape_nested_fun(n)) for n in NESTED_FUN_SIZES], env
+    )
+    for n, previous, seconds in zip(NESTED_FUN_SIZES[1:], nested, nested[1:]):
+        rows.append(
+            (
+                f"nested fun {n // 2}->{n}",
+                f"{previous * 1e3:.1f}",
+                f"{seconds * 1e3:.1f}",
+                f"{seconds / previous:.2f}x",
+                "(recorded)",
+            )
+        )
+    write_table(
+        "infer_engine_shapes",
+        "Union-find inference on adversarial shapes: time when n doubles "
+        f"(n = {SLOPE_SIZES[0]} -> {SLOPE_SIZES[1]}, prelude environment)",
+        ("shape", "small CPU ms", "large CPU ms", "slope", "bound"),
+        rows,
+        footer=(
+            f"guard: slope <= {SLOPE_CEILING}x on every bounded shape (linear "
+            "is 2x, quadratic 4x); nested fun is recorded only, its output "
+            "constraint has Θ(n²) size"
+        ),
+    )
+    for name, slope in slopes.items():
+        assert slope <= SLOPE_CEILING, (
+            f"uf inference is superlinear on the {name} shape: doubling n "
+            f"costs {slope:.2f}x (ceiling {SLOPE_CEILING}x)"
+        )
+    sample = parse(_deep_let_program(SLOPE_SIZES[0]))
+    benchmark(lambda: infer(sample, env, engine="uf"))
 
 
 def test_engines_agree_on_prelude_program(benchmark):

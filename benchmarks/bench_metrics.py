@@ -11,9 +11,9 @@ The guard holds that promise: a superstep workload with metrics disabled
 workload with the instrumentation sites stubbed out entirely.
 
 A third, informational measurement runs with ``metrics.enable()`` — that
-path pays for record construction plus one histogram update per span
-(it is opt-in precisely because it is not free), so it is reported but
-not guarded.
+path pays for one sink call plus one histogram update per span (no
+record is built while no trace window is open; it is opt-in precisely
+because it is not free), so it is reported but not guarded.
 
 The regenerated table lands in ``benchmarks/results/metrics.txt``.
 """
@@ -194,8 +194,8 @@ def test_disabled_metrics_are_free(benchmark):
         footer="Guard: with metrics disabled the instrumentation must "
         f"cost <= {MAX_OVERHEAD:.2f}x the machine with the sites removed "
         "entirely (no sink installed, so span sites short-circuit on one "
-        "truthiness test).  Enabled metrics pay for record construction "
-        "plus one streaming-histogram update per span and are opt-in.",
+        "truthiness test).  Enabled metrics pay for one sink call plus one "
+        "streaming-histogram update per span and are opt-in.",
     )
 
     assert ratio <= MAX_OVERHEAD, (

@@ -13,8 +13,11 @@
 # costed scaling suite (all with bit-identical BspCost tables and
 # trace signatures), if the union-find inference engine no longer
 # delivers >= 5x over the substitution engine at AST size >= 500 (with
-# bit-identical types, constraints, derivations and errors), or if
-# disabled metrics cost more than 1.05x of the uninstrumented machine.
+# bit-identical types, constraints, derivations and errors), if
+# doubling n from 1000 to 2000 costs the union-find engine more than
+# 2.5x on any adversarial shape (deep let, long +, application chain,
+# wide tuple, bcast chain), or if disabled metrics cost more than 1.05x
+# of the uninstrumented machine.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -30,7 +33,7 @@ python -m pytest benchmarks/bench_solver_cache.py -q --benchmark-disable
 echo "== compiled + vectorized engine speedup guards =="
 python -m pytest benchmarks/bench_evaluators.py -q --benchmark-disable
 
-echo "== union-find inference engine speedup guard =="
+echo "== union-find inference engine speedup + shape slope guards =="
 python -m pytest benchmarks/bench_infer_engines.py -q --benchmark-disable
 
 echo "== disabled-metrics overhead guard =="

@@ -36,11 +36,18 @@ invalidation, ever, and *eviction* is the only way an entry leaves.
 Bounding matters beyond memory for the caches themselves: cache entries
 hold strong references to the interned key nodes, so a bounded cache is
 also what keeps the weak hash-cons pools from growing without bound over
-a server lifetime.  The caches register themselves with
-:mod:`repro.perf` for hit-rate and eviction reporting (``--stats``), and
-the bound is runtime-resizable (``REPRO_SOLVER_CACHE_SIZE`` or
-:func:`repro.perf.resize_registered`) so the service can size them to
-its memory budget.
+a server lifetime.  Every cold inference draws fresh variables, so its
+nodes are new keys: the bound (:data:`SOLVER_CACHE_SIZE` entries per
+cache) is what caps the memory a long-running server spends on them, and
+one cache entry may keep a whole interned subterm alive.  The caches
+register themselves with :mod:`repro.perf` for hit-rate and eviction
+reporting (``--stats``); the bound is set by ``REPRO_SOLVER_CACHE_SIZE``
+at import or :func:`repro.perf.resize_registered` at runtime.
+
+Free-variable and atom queries (:func:`constraint_atoms`, and
+:func:`repro.core.types.free_type_vars` for types) are not memo tables:
+each interned node caches its own set, composed from its parts' sets, so
+the set lives exactly as long as the node.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro import obs, perf
 from repro.perf.memo import bounded_memo
@@ -63,12 +70,17 @@ from repro.core.types import (
     TVar,
     Type,
     _InternMeta,
+    composed_vars,
 )
 
 #: Default bound on each solver-layer memoization cache (entries, not
 #: bytes); override with ``REPRO_SOLVER_CACHE_SIZE`` before import, or
 #: resize the registered caches at runtime (``perf.resize_registered``).
-SOLVER_CACHE_SIZE = int(os.environ.get("REPRO_SOLVER_CACHE_SIZE", "65536"))
+#: Large enough that warm re-checks of a program hit (see
+#: ``benchmarks/bench_solver_cache.py``), small enough that the nodes the
+#: caches keep alive for cold requests' fresh variables plateau instead
+#: of growing with the number of requests served.
+SOLVER_CACHE_SIZE = int(os.environ.get("REPRO_SOLVER_CACHE_SIZE", "4096"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +91,12 @@ class Constraint(metaclass=_InternMeta):
     coincides with structural equality because every construction path
     yields the pooled representative (see :class:`_InternMeta`).
     """
+
+    #: The node's atom names, filled in by :func:`constraint_atoms`.
+    _vars = None
+
+    def children(self) -> Iterable["Constraint"]:
+        return ()
 
     def __str__(self) -> str:
         return render_constraint(self)
@@ -116,6 +134,9 @@ class CAnd(Constraint):
         if len(self.conjuncts) < 2:
             raise ValueError("CAnd needs >= 2 conjuncts; use conj()")
 
+    def children(self) -> Iterable[Constraint]:
+        return self.conjuncts
+
 
 @dataclass(frozen=True, eq=False)
 class CImp(Constraint):
@@ -123,6 +144,9 @@ class CImp(Constraint):
 
     antecedent: Constraint
     consequent: Constraint
+
+    def children(self) -> Iterable[Constraint]:
+        return (self.antecedent, self.consequent)
 
 
 #: Singletons, for convenience and identity checks.
@@ -245,20 +269,15 @@ def basic_constraint(ty: Type) -> Constraint:
 # -- structure ------------------------------------------------------------
 
 
+def _atom_name(node: Constraint) -> Optional[str]:
+    return node.var if isinstance(node, CLoc) else None
+
+
 def constraint_atoms(constraint: Constraint) -> FrozenSet[str]:
-    """Names of the type variables whose locality the constraint mentions."""
-    if isinstance(constraint, CLoc):
-        return frozenset((constraint.var,))
-    if isinstance(constraint, CAnd):
-        result: FrozenSet[str] = frozenset()
-        for part in constraint.conjuncts:
-            result |= constraint_atoms(part)
-        return result
-    if isinstance(constraint, CImp):
-        return constraint_atoms(constraint.antecedent) | constraint_atoms(
-            constraint.consequent
-        )
-    return frozenset()
+    """Names of the type variables whose locality the constraint mentions
+    (cached per interned node and composed from the parts' cached sets,
+    see :func:`repro.core.types.composed_vars`)."""
+    return composed_vars(constraint, _atom_name)
 
 
 #: Alias: the free variables of a constraint are exactly its atoms' names.

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 from weakref import WeakValueDictionary
 
 
@@ -73,13 +73,21 @@ class Type(metaclass=_InternMeta):
     every construction path yields the pooled representative.
     """
 
+    #: The node's variable names, filled in by :func:`free_type_vars`
+    #: (not a dataclass field: it is derived, and never part of the key).
+    _vars = None
+
     def children(self) -> Tuple["Type", ...]:
         return ()
 
     def walk(self) -> Iterator["Type"]:
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Every node of the type in pre-order (iterative: no Python
+        recursion, so deep types cost O(size), not O(size * depth))."""
+        stack: List[Type] = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children()))
 
     def __str__(self) -> str:
         return render_type(self)
@@ -208,9 +216,64 @@ def arrow(*types: Type) -> Type:
     return result
 
 
+NO_VARS: FrozenSet[str] = frozenset()
+
+
+def _union_vars(parts: List[FrozenSet[str]]) -> FrozenSet[str]:
+    """The union of ``parts``, reusing the one non-empty set if there is
+    only one (the common case: most nodes add no names of their own)."""
+    nonempty = [part for part in parts if part]
+    if not nonempty:
+        return NO_VARS
+    if len(nonempty) == 1:
+        return nonempty[0]
+    return nonempty[0].union(*nonempty[1:])
+
+
+def composed_vars(root, own_name: Callable[[object], Optional[str]]) -> FrozenSet[str]:
+    """The variable names of an interned ``root``, cached on every node.
+
+    A node's set is composed from its children's cached sets (or is the
+    single name ``own_name`` reports for a leaf), so a query costs
+    O(nodes not yet seen) however often the same subterms come back —
+    never a re-walk of the whole term.  The walk is an explicit
+    post-order stack.  Used for types here and for constraint atoms in
+    :mod:`repro.core.constraints`; nodes are immutable, so the cached set
+    lives exactly as long as the node.
+    """
+    cached = root._vars
+    if cached is not None:
+        return cached
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node._vars is not None:
+            stack.pop()
+            continue
+        children = node.children()
+        missing = [child for child in children if child._vars is None]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        name = own_name(node)
+        names = (
+            frozenset((name,))
+            if name is not None
+            else _union_vars([child._vars for child in children])
+        )
+        object.__setattr__(node, "_vars", names)
+    return root._vars
+
+
+def _type_var_name(node: Type) -> Optional[str]:
+    return node.name if isinstance(node, TVar) else None
+
+
 def free_type_vars(ty: Type) -> FrozenSet[str]:
-    """Names of the type variables occurring in ``ty``."""
-    return frozenset(node.name for node in ty.walk() if isinstance(node, TVar))
+    """Names of the type variables occurring in ``ty`` (cached per
+    interned node, see :func:`composed_vars`)."""
+    return composed_vars(ty, _type_var_name)
 
 
 def apply_type_subst(mapping: Dict[str, Type], ty: Type) -> Type:

@@ -91,6 +91,7 @@ from repro.core.schemes import (
 from repro.core.types import (
     BOOL,
     INT,
+    NO_VARS,
     TArrow,
     TBase,
     TPair,
@@ -147,9 +148,9 @@ class UnionFind:
         "_memo_version",
         "_frozen_types",
         "_frozen_constraints",
-        "_type_fv_memo",
-        "_atom_memo",
         "_scheme_fv_memo",
+        "_env_parent",
+        "_env_fv_memo",
     )
 
     def __init__(self) -> None:
@@ -163,9 +164,9 @@ class UnionFind:
         self._memo_version = 0
         self._frozen_types: Dict[Type, Type] = {}
         self._frozen_constraints: Dict[Constraint, Constraint] = {}
-        self._type_fv_memo: Dict[Type, FrozenSet[str]] = {}
-        self._atom_memo: Dict[Constraint, FrozenSet[str]] = {}
         self._scheme_fv_memo: Dict[TypeScheme, FrozenSet[str]] = {}
+        self._env_parent: Dict[TypeEnv, Tuple[TypeEnv, TypeScheme]] = {}
+        self._env_fv_memo: Dict[TypeEnv, FrozenSet[str]] = {}
 
     # -- representatives ---------------------------------------------------
 
@@ -310,7 +311,7 @@ class UnionFind:
         extras = conj(
             *(
                 basic_constraint(self._freeze(TVar(name)))
-                for name in self.ct_free_vars(ct)
+                for name in free_type_vars(ct.type) | constraint_atoms(ct.constraint)
                 if name in link
             )
         )
@@ -318,25 +319,6 @@ class UnionFind:
             self._freeze(ct.type),
             conj(self._freeze_c(ct.constraint), extras),
         )
-
-    # -- syntactic free variables (cached on interned nodes) ---------------
-
-    def type_fv(self, ty: Type) -> FrozenSet[str]:
-        cached = self._type_fv_memo.get(ty)
-        if cached is None:
-            cached = free_type_vars(ty)
-            self._type_fv_memo[ty] = cached
-        return cached
-
-    def atoms(self, constraint: Constraint) -> FrozenSet[str]:
-        cached = self._atom_memo.get(constraint)
-        if cached is None:
-            cached = constraint_atoms(constraint)
-            self._atom_memo[constraint] = cached
-        return cached
-
-    def ct_free_vars(self, ct: ConstrainedType) -> FrozenSet[str]:
-        return self.type_fv(ct.type) | self.atoms(ct.constraint)
 
     # -- resolved environment free variables -------------------------------
 
@@ -365,31 +347,78 @@ class UnionFind:
         link = self.link
         result: Set[str] = set()
         touched: Set[str] = set()
-        for name in self.type_fv(body.type):
+        for name in free_type_vars(body.type):
             if name in quantified:
                 continue
             if name in link:
                 touched.add(name)
-                result |= self.type_fv(self._freeze(TVar(name)))
+                result |= free_type_vars(self._freeze(TVar(name)))
             else:
                 result.add(name)
-        for name in self.atoms(body.constraint):
+        for name in constraint_atoms(body.constraint):
             if name in quantified:
                 continue
             if name in link:
                 touched.add(name)
-                result |= self.atoms(locality(self._freeze(TVar(name))))
+                result |= constraint_atoms(locality(self._freeze(TVar(name))))
             else:
                 result.add(name)
         # Definition 1's extras: the touched variables' images conjoin
         # their basic constraints into the applied scheme's body.
         for name in touched:
-            result |= self.atoms(basic_constraint(self._freeze(TVar(name))))
+            result |= constraint_atoms(basic_constraint(self._freeze(TVar(name))))
         return frozenset(result)
+
+    def extend(self, env: TypeEnv, name: str, scheme: TypeScheme) -> TypeEnv:
+        """``env.extend(name, scheme)``, remembering the parent so that
+        :meth:`env_free_vars` can derive the child's set from the
+        parent's.  A shadowing binding replaces one of the parent's, so
+        its environment is not derived: it falls back to the full scan."""
+        child = env.extend(name, scheme)
+        if name not in env:
+            self._env_parent[child] = (env, scheme)
+        return child
 
     def env_free_vars(self, env: TypeEnv) -> FrozenSet[str]:
         """``env.apply(subst).free_vars()`` without building the applied
-        environment."""
+        environment.
+
+        Memoized per environment and revalidated like
+        :meth:`scheme_free_vars`: an entry stands until one of its own
+        names is bound.  An environment made by :meth:`extend` is its
+        parent's set plus the added scheme's, so a query climbs (in a
+        loop, not by recursion) only to the nearest ancestor whose entry
+        is still valid and rebuilds the entries below it — O(1) schemes
+        per ``let`` on a chain that keeps its entries valid, instead of a
+        scan of every binding.
+        """
+        memo = self._env_fv_memo
+        link = self.link
+        stale: List[TypeEnv] = []
+        node = env
+        while True:
+            cached = memo.get(node)
+            if cached is not None and not any(name in link for name in cached):
+                result = cached
+                break
+            derived = self._env_parent.get(node)
+            if derived is None:
+                result = self._scan_env(node)
+                memo[node] = result
+                break
+            stale.append(node)
+            node = derived[0]
+        for node in reversed(stale):
+            added = self.scheme_free_vars(self._env_parent[node][1])
+            if not added <= result:
+                result = result | added
+            memo[node] = result
+        return result
+
+    def _scan_env(self, env: TypeEnv) -> FrozenSet[str]:
+        if not env.free_vars():
+            # Nothing free before resolution means nothing free after.
+            return NO_VARS
         result: Set[str] = set()
         for _, scheme in env.items():
             result |= self.scheme_free_vars(scheme)
@@ -503,7 +532,8 @@ class UFInferencer:
 
     def _instantiate(self, scheme: TypeScheme) -> ConstrainedType:
         ct = instantiate(scheme)
-        self.uf.note_vars(self.uf.ct_free_vars(ct))
+        self.uf.note_vars(free_type_vars(ct.type))
+        self.uf.note_vars(constraint_atoms(ct.constraint))
         return ct
 
     def _check(
@@ -530,7 +560,7 @@ class UFInferencer:
         quantified = tuple(
             sorted(
                 name
-                for name in self.uf.type_fv(ct.type)
+                for name in free_type_vars(ct.type)
                 if level.get(name, 0) > entry_level
             )
         )
@@ -610,7 +640,7 @@ class UFInferencer:
     def _infer_annot(self, env: TypeEnv, expr: Annot):
         inner_ct, inner_d = self.infer(env, expr.expr)
         annotation = type_expr_to_type(expr.annotation)
-        self.uf.note_vars(self.uf.type_fv(annotation))
+        self.uf.note_vars(free_type_vars(annotation))
         self._unify(inner_ct.type, annotation, expr)
         inner_ct = self._resolve(inner_ct)
         ct = ConstrainedType(
@@ -635,12 +665,12 @@ class UFInferencer:
         right_ty = self.uf.fresh("sr")
         scrut_ct, scrut_d = self.infer(env, expr.scrutinee)
         self._unify(scrut_ct.type, TSum(left_ty, right_ty), expr.scrutinee)
-        left_env = env.extend(
-            expr.left_name, mono(self.uf.freeze_type(left_ty))
+        left_env = self.uf.extend(
+            env, expr.left_name, mono(self.uf.freeze_type(left_ty))
         )
         left_ct, left_d = self.infer(left_env, expr.left_body)
-        right_env = env.extend(
-            expr.right_name, mono(self.uf.freeze_type(right_ty))
+        right_env = self.uf.extend(
+            env, expr.right_name, mono(self.uf.freeze_type(right_ty))
         )
         right_ct, right_d = self.infer(right_env, expr.right_body)
         self._unify(left_ct.type, right_ct.type, expr)
@@ -660,7 +690,9 @@ class UFInferencer:
 
     def _infer_fun(self, env: TypeEnv, expr: Fun) -> Tuple[ConstrainedType, Derivation]:
         param_ty = self.uf.fresh("p")
-        body_ct, body_d = self.infer(env.extend(expr.param, mono(param_ty)), expr.body)
+        body_ct, body_d = self.infer(
+            self.uf.extend(env, expr.param, mono(param_ty)), expr.body
+        )
         arrow = TArrow(self.uf.freeze_type(param_ty), body_ct.type)
         constraint = conj(basic_constraint(arrow), body_ct.constraint)
         return self._check("Fun", expr, ConstrainedType(arrow, constraint), (body_d,))
@@ -694,7 +726,7 @@ class UFInferencer:
         if self.prune:
             bound_ct = prune_constrained(bound_ct, inner_fv)
         scheme = self._generalize(bound_ct, entry_level)
-        body_ct, body_d = self.infer(env.extend(expr.name, scheme), expr.body)
+        body_ct, body_d = self.infer(uf.extend(env, expr.name, scheme), expr.body)
         bound_ct = self._resolve(bound_ct)
         constraint = conj(
             bound_ct.constraint,

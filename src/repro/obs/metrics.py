@@ -43,12 +43,12 @@ from __future__ import annotations
 import math
 import re
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import perf
 from repro.obs import tracer
-from repro.obs.tracer import TraceRecord
 
 #: The Content-Type a Prometheus scrape expects.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -151,15 +151,17 @@ class _Family:
         self.name = _check_name(name)
         self.help = help
         self.labelnames = _check_labelnames(labelnames)
+        self._labelset = frozenset(self.labelnames)
         self._lock = threading.Lock()
 
     def _key(self, labels: Dict[str, Any]) -> Tuple[str, ...]:
-        if set(labels) != set(self.labelnames):
+        # A keys view compares against the frozenset without building a set.
+        if labels.keys() != self._labelset:
             raise ValueError(
                 f"metric {self.name!r} takes labels {self.labelnames}, "
                 f"got {tuple(sorted(labels))}"
             )
-        return tuple(str(labels[name]) for name in self.labelnames)
+        return tuple([str(labels[name]) for name in self.labelnames])
 
     def _pairs(self, key: Tuple[str, ...]) -> Tuple[Tuple[str, str], ...]:
         return tuple(zip(self.labelnames, key))
@@ -309,11 +311,13 @@ class Histogram(_Family):
                 series = ([0] * (len(self.buckets) + 1), [0, 0.0])
                 self._series[key] = series
             counts, totals = series
-            index = len(self.buckets)
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    index = i
-                    break
+            # The first bound >= value; NaN compares false with every
+            # bound, so it lands in the +Inf bucket.
+            index = (
+                bisect_left(self.buckets, value)
+                if value == value
+                else len(self.buckets)
+            )
             counts[index] += 1
             totals[0] += 1
             totals[1] += value
@@ -589,30 +593,32 @@ def render_global() -> str:
 _INFERENCE_SPANS = frozenset({"infer", "judgment", "solve", "unify"})
 
 
-def _trace_sink(record: TraceRecord) -> None:
-    """Project one finished trace record onto the standard metrics."""
-    name = record.name
-    if record.dur is not None:
+def _trace_sink(
+    name: str, track: str, ts: float, dur: Optional[float], args: Dict[str, Any]
+) -> None:
+    """Project one finished trace record (its raw fields, see
+    :data:`repro.obs.tracer.Sink`) onto the standard metrics."""
+    if dur is not None:
         if name.startswith("superstep."):
-            SUPERSTEP_SECONDS.observe(record.dur, phase=name[len("superstep.") :])
+            SUPERSTEP_SECONDS.observe(dur, phase=name[len("superstep.") :])
         elif name in _INFERENCE_SPANS:
-            INFERENCE_SECONDS.observe(record.dur, kind=name)
+            INFERENCE_SECONDS.observe(dur, kind=name)
         elif name == "task":
-            proc = record.arg("proc")
+            proc = args.get("proc")
             if proc is not None:
-                TASK_SECONDS_TOTAL.inc(record.dur, proc=str(proc))
+                TASK_SECONDS_TOTAL.inc(dur, proc=str(proc))
         return
     if name == "superstep":
         SUPERSTEPS_TOTAL.inc()
-        words = record.arg("words")
+        words = args.get("words")
         if words:
             WORDS_TOTAL.inc(words)
     elif name == "fault":
-        FAULTS_TOTAL.inc(kind=str(record.arg("kind", "unknown")))
+        FAULTS_TOTAL.inc(kind=str(args.get("kind", "unknown")))
     elif name == "retry":
-        RETRIES_TOTAL.inc(phase=str(record.arg("phase", "")))
+        RETRIES_TOTAL.inc(phase=str(args.get("phase", "")))
     elif name == "rollback":
-        ROLLBACKS_TOTAL.inc(phase=str(record.arg("phase", "")))
+        ROLLBACKS_TOTAL.inc(phase=str(args.get("phase", "")))
 
 
 # -- the memo-cache scrape ----------------------------------------------------

@@ -19,8 +19,10 @@ so nested windows each see their own totals, and a window opened on one
 thread (or asyncio task) of the service sees only that request's work.
 Process-global **sinks** (:func:`add_sink`) see every record of the
 process; the metrics registry (:mod:`repro.obs.metrics`) is the one such
-consumer.  A sink makes every span site build its record, so counts
-stay off that path: a count never builds a record or reaches a sink.
+consumer.  A sink receives the record's raw fields, not a
+:class:`TraceRecord`: with no trace window open, a span or record feeds
+the sinks without building a record, sorting its args or entering a
+generator.  Counts stay off that path: a count never reaches a sink.
 
 Every site guards itself with :func:`enabled` — one truthiness test when
 nothing listens — and a site that counts and records makes that one
@@ -317,23 +319,28 @@ def _pop(window: Window) -> None:
         _ACTIVE.set(_Windows(tuple(entry for entry in active if entry is not window)))
 
 
+#: A record sink: called as ``sink(name, track, ts, dur, args)`` with the
+#: fields a :class:`TraceRecord` would carry, ``args`` an unsorted dict
+#: the sink must not modify.
+Sink = Callable[[str, str, float, Optional[float], Dict[str, Any]], None]
+
 #: Module-global record sinks.  Unlike the context-local windows a sink
 #: sees every record of the whole process — it is how the metrics
 #: aggregation layer (:mod:`repro.obs.metrics`) observes superstep and
 #: inference spans across all concurrent requests of the service while
 #: each request's trace window stays isolated.  An immutable tuple for
 #: the same torn-read-free reason as ``_ACTIVE``.
-_SINKS: Tuple[Callable[[TraceRecord], None], ...] = ()
+_SINKS: Tuple[Sink, ...] = ()
 
 
-def add_sink(sink: Callable[[TraceRecord], None]) -> None:
+def add_sink(sink: Sink) -> None:
     """Register a process-global record sink (idempotent)."""
     global _SINKS
     if sink not in _SINKS:
         _SINKS = _SINKS + (sink,)
 
 
-def remove_sink(sink: Callable[[TraceRecord], None]) -> None:
+def remove_sink(sink: Sink) -> None:
     """Unregister a sink previously added with :func:`add_sink`."""
     global _SINKS
     if sink in _SINKS:
@@ -367,16 +374,20 @@ def record(
     **args: Any,
 ) -> None:
     """Append a finished record to every open :class:`Trace` and sink."""
+    _emit(name, track, ts, dur, args)
+
+
+def _emit(
+    name: str, track: str, ts: float, dur: Optional[float], args: Dict[str, Any]
+) -> None:
     traces = _ACTIVE.get().traces
-    sinks = _SINKS
-    if not traces and not sinks:
-        return
-    entry = TraceRecord(name, track, ts, dur, tuple(sorted(args.items())))
-    for trace_ in traces:
-        trace_.records.append(entry)
-    for sink in sinks:
+    if traces:
+        entry = TraceRecord(name, track, ts, dur, tuple(sorted(args.items())))
+        for trace_ in traces:
+            trace_.records.append(entry)
+    for sink in _SINKS:
         try:
-            sink(entry)
+            sink(name, track, ts, dur, args)
         except Exception:
             # A broken metrics sink must never take the machine down.
             pass
@@ -386,12 +397,38 @@ def event(name: str, track: str, **args: Any) -> None:
     """Record an instant event at the current time (no-op when no
     trace window or sink is open)."""
     if _ACTIVE.get().traces or _SINKS:
-        record(name, track, time.perf_counter(), None, **args)
+        _emit(name, track, time.perf_counter(), None, args)
 
 
 #: What :func:`span` hands out when nothing would consume the span: a
 #: reusable no-op, so the unmeasured path builds no generator.
 _UNMEASURED: ContextManager[None] = nullcontext()
+
+
+class _Measured:
+    """A measured span: a plain object rather than a generator, so the
+    metrics-only path allocates one small instance per span."""
+
+    __slots__ = ("name", "track", "timer", "args", "start")
+
+    def __init__(self, name: str, track: str, timer: bool, args: Dict[str, Any]) -> None:
+        self.name = name
+        self.track = track
+        self.timer = timer
+        self.args = args
+
+    def __enter__(self) -> Dict[str, Any]:
+        self.start = time.perf_counter()
+        # The block's late args go straight into the span's own (fresh,
+        # per-call) keyword dict: same override order as a merge.
+        return self.args
+
+    def __exit__(self, *exc_info: Any) -> None:
+        start = self.start
+        seconds = time.perf_counter() - start
+        if self.timer:
+            count(self.name, seconds, timer=True)
+        _emit(self.name, self.track, start, seconds, self.args)
 
 
 def span(
@@ -413,23 +450,8 @@ def span(
     """
     windows = _ACTIVE.get()
     if windows.traces or _SINKS or (timer and windows.stats):
-        return _measured(name, track, timer, args)
+        return _Measured(name, track, timer, args)
     return _UNMEASURED
-
-
-@contextmanager
-def _measured(
-    name: str, track: str, timer: bool, args: Dict[str, Any]
-) -> Iterator[Dict[str, Any]]:
-    extra: Dict[str, Any] = {}
-    start = time.perf_counter()
-    try:
-        yield extra
-    finally:
-        seconds = time.perf_counter() - start
-        if timer:
-            count(name, seconds, timer=True)
-        record(name, track, start, seconds, **{**args, **extra})
 
 
 @contextmanager

@@ -17,8 +17,9 @@ runs, but it has two problems over a *server lifetime*:
 surface (``cache_info()``, ``cache_clear()``, registration with
 :func:`register_cache`) plus:
 
-* an explicit, *runtime-resizable* LRU bound (:meth:`BoundedMemo.resize`
-  — the service sizes the solver caches to its memory budget at boot);
+* an explicit, *runtime-resizable* LRU bound (:meth:`BoundedMemo.resize`,
+  :func:`resize_registered`; the solver caches default to 4096 entries
+  each, ``REPRO_SOLVER_CACHE_SIZE`` overrides it);
 * a monotonic ``evictions`` counter, reported as a delta by
   :class:`repro.obs.CacheReport` and counted under ``cache.evict.<name>``
   while a stats window is open.
@@ -179,8 +180,7 @@ def bounded_memo(
 def resize_registered(maxsize: int, prefix: str = "") -> int:
     """Resize every registered :class:`BoundedMemo` whose name starts
     with ``prefix`` (all of them by default).  Returns how many caches
-    were resized.  The service calls this at boot to fit the solver
-    caches to its configured memory budget."""
+    were resized."""
     resized = 0
     for name, fn in _REGISTERED_CACHES.items():
         if isinstance(fn, BoundedMemo) and name.startswith(prefix):

@@ -157,7 +157,7 @@ class _Session:
             chain = [self.definitions[n] for n in self.names]
             try:
                 checked = self.checker.check(chain)
-            except (TypingError, ReproError):
+            except (TypingError, ReproError, RecursionError):
                 # Reject the edit wholesale: the session stays at its
                 # last well-typed state.
                 if previous is None:
@@ -425,6 +425,8 @@ class ServiceCore:
             summary = session.define(name, payload.get("source"))
         except TypingError as error:
             raise RequestError(422, "type", str(error)) from error
+        except RecursionError as error:
+            raise RequestError(422, "recursion", "program exceeds inference depth") from error
         return 200, serialize(summary), "miss"
 
     def handle_session_run(

@@ -181,3 +181,31 @@ class TestTypeEnv:
         env = TypeEnv.empty().extend("x", mono(TVar("a")))
         applied = env.apply(Subst({"a": INT}))
         assert applied.lookup("x").body.type == INT
+
+    def test_long_chains_behave_like_one_dict(self):
+        """Extending past the point where recent bindings are folded into
+        a new base changes nothing observable: lookups, membership, the
+        domain, free variables and iteration order (shadowed names keep
+        their first position) all match one dict receiving the same
+        insertions, and every intermediate environment stays intact."""
+        import random
+
+        rng = random.Random(7)
+        env = TypeEnv({f"p{i}": mono(INT) for i in range(50)})
+        expected = dict(env.items())
+        history = []
+        for step in range(400):
+            name = rng.choice([f"p{rng.randrange(60)}", f"x{step}", f"y{step % 7}"])
+            scheme = mono(TVar(f"v{step}"))
+            env = env.extend(name, scheme)
+            expected[name] = scheme
+            history.append((env, dict(expected)))
+        for snapshot, bindings in history[::37] + history[-1:]:
+            assert list(snapshot.items()) == list(bindings.items())
+            assert snapshot.domain == frozenset(bindings)
+            assert snapshot.free_vars() == frozenset().union(
+                *(scheme.free_vars() for scheme in bindings.values())
+            )
+            for name in ("p3", "p55", "y2", "x399", "missing"):
+                assert snapshot.lookup(name) is bindings.get(name)
+                assert (name in snapshot) == (name in bindings)

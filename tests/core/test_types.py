@@ -61,6 +61,29 @@ class TestFreeVars:
         ty = TArrow(TVar("a"), TPair(TVar("b"), TPar(TVar("a"))))
         assert free_type_vars(ty) == {"a", "b"}
 
+    def test_walk_is_pre_order(self):
+        ty = TArrow(TVar("a"), TTuple((TVar("b"), INT, TPar(TVar("c")))))
+        shown = [
+            node.name if isinstance(node, (TVar, TBase)) else type(node).__name__
+            for node in ty.walk()
+        ]
+        assert shown == ["TArrow", "a", "TTuple", "b", "int", "TPar", "c"]
+
+    def test_deep_types_need_no_recursion(self):
+        ty = TVar("leaf")
+        for index in range(5000):
+            ty = TPair(ty, TVar(f"v{index}"))
+        assert sum(1 for _ in ty.walk()) == 2 * 5000 + 1
+        assert len(free_type_vars(ty)) == 5001
+        assert free_type_vars(ty.first) == free_type_vars(ty) - {"v4999"}
+
+    def test_sets_are_cached_on_shared_nodes(self):
+        shared = TArrow(TVar("a"), TVar("b"))
+        first = free_type_vars(TPair(shared, INT))
+        assert free_type_vars(shared) is free_type_vars(shared)
+        assert free_type_vars(TPair(shared, INT)) is first
+        assert free_type_vars(TPair(INT, INT)) == frozenset()
+
 
 class TestSubstitution:
     def test_hit(self):

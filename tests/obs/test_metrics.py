@@ -314,7 +314,7 @@ class TestTraceSinkIntegration:
             metrics.disable()
 
     def test_sink_exceptions_are_swallowed(self):
-        def bad_sink(record):
+        def bad_sink(*fields):
             raise RuntimeError("boom")
 
         obs.add_sink(bad_sink)
@@ -322,6 +322,83 @@ class TestTraceSinkIntegration:
             obs.record("solve", obs.INFERENCE_TRACK, 0.0, 0.001)
         finally:
             obs.remove_sink(bad_sink)
+
+
+class TestSinkPath:
+    """With only the metrics sink listening, spans and records feed the
+    histograms from their raw fields: no :class:`TraceRecord` is built."""
+
+    def setup_method(self):
+        metrics.global_registry().reset()
+
+    def _counting_records(self, monkeypatch):
+        from repro.obs import tracer
+
+        built = []
+
+        class CountingRecord(tracer.TraceRecord):
+            def __init__(self, *args, **kwargs):
+                built.append(args[0] if args else kwargs.get("name"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(tracer, "TraceRecord", CountingRecord)
+        return built
+
+    def test_metrics_only_uf_infer_builds_no_trace_record(self, monkeypatch):
+        from repro.core.infer import infer
+        from repro.lang.parser import parse_program
+
+        expr = parse_program("let f = fun x -> (x, 1) in fst (f true)")
+        built = self._counting_records(monkeypatch)
+        metrics.enable()
+        try:
+            infer(expr, engine="uf")
+            assert built == []
+            judgments = metrics.INFERENCE_SECONDS.count(kind="judgment")
+            assert judgments == expr.size()
+            assert metrics.INFERENCE_SECONDS.count(kind="solve") == judgments
+            assert metrics.INFERENCE_SECONDS.count(kind="unify") > 0
+            assert metrics.INFERENCE_SECONDS.count(kind="infer") == 1
+            # The same run under a trace window builds one record per span.
+            with obs.trace() as window:
+                infer(expr, engine="uf")
+            assert len(built) == len(window.records) > judgments
+        finally:
+            metrics.disable()
+
+    def test_span_args_reach_sink_and_trace_alike(self):
+        seen = []
+
+        def sink(name, track, ts, dur, args):
+            seen.append((name, track, dur is not None, dict(args)))
+
+        obs.add_sink(sink)
+        try:
+            with obs.trace() as window:
+                with obs.span("work", obs.MACHINE_TRACK, step=1) as extra:
+                    extra["late"] = "yes"
+                obs.event("tick", obs.MACHINE_TRACK, words=3)
+        finally:
+            obs.remove_sink(sink)
+        assert seen == [
+            ("work", obs.MACHINE_TRACK, True, {"step": 1, "late": "yes"}),
+            ("tick", obs.MACHINE_TRACK, False, {"words": 3}),
+        ]
+        span, tick = window.records
+        assert span.args == (("late", "yes"), ("step", 1))
+        assert tick.args == (("words", 3),)
+
+    def test_histogram_bucket_is_first_bound_at_or_above_value(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("b_seconds", "h", buckets=(0.01, 0.1, 1.0))
+        values = (-math.inf, 0.0, 0.01, 0.010001, 0.1, 0.5, 1.0, 1.5, math.inf, math.nan)
+        for value in values:
+            hist.observe(value)
+        counts, totals = hist._series[()]
+        # <=0.01: -inf, 0, 0.01; <=0.1: 0.010001, 0.1; <=1: 0.5, 1.0;
+        # +Inf: 1.5, inf and NaN (NaN is below no bound).
+        assert counts == [3, 2, 2, 3]
+        assert totals[0] == len(values)
 
 
 class TestPerfBridge:

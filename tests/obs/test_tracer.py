@@ -215,7 +215,10 @@ class TestCounts:
         from repro.obs import tracer
 
         seen = []
-        sink = seen.append
+
+        def sink(*fields):
+            seen.append(fields)
+
         obs.add_sink(sink)
         try:
             with obs.stats() as stats:

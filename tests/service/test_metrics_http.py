@@ -269,3 +269,58 @@ class TestConcurrentAggregationAndIsolation:
             for c in ("hit", "miss", "-")
         )
         assert after - before == n
+
+
+class TestSinkPathObservations:
+    """The metrics sink sees the same observations whether or not a
+    trace window is open (a window changes what is recorded, never what
+    the registry counts)."""
+
+    SEQUENCE = (
+        ("typecheck", {"program": "let f = fun x -> (x, 1) in fst (f true)"}),
+        ("typecheck", {"program": "fst (1, mkpar (fun i -> i))"}),  # 422 type
+        ("run", {"program": "bcast 2 (mkpar (fun i -> i * i))", "p": 4}),
+        ("run", {"program": "fun x -> x", "p": 2}),
+        ("typecheck", {"program": " + ".join(["1"] * 200)}),
+    )
+
+    def _scrape_after_sequence(self):
+        from repro.service.handlers import RequestError
+
+        metrics.global_registry().reset()
+        core = ServiceCore()
+        for route, payload in self.SEQUENCE:
+            handle = core.handle_typecheck if route == "typecheck" else core.handle_run
+            try:
+                handle(dict(payload))
+            except RequestError:
+                pass
+        families = parse_prometheus(metrics.render_global())
+        observed = {}
+        for sample_name, labels, value in families["repro_inference_seconds"]["samples"]:
+            if sample_name.endswith("_count"):
+                observed[("inference", labels["kind"])] = value
+        for family in ("repro_supersteps_total", "repro_words_exchanged_total"):
+            for _, _, value in families[family]["samples"]:
+                observed[family] = value
+        return observed
+
+    def test_same_counts_with_and_without_a_trace_window(self):
+        from repro.core.prelude_env import prelude_env
+
+        prelude_env()  # built (and inferred) once per process
+        metrics.enable()
+        try:
+            without = self._scrape_after_sequence()
+            with obs.trace() as window:
+                within = self._scrape_after_sequence()
+        finally:
+            metrics.disable()
+            metrics.global_registry().reset()
+        assert without == within
+        kinds = {key[1] for key in without if isinstance(key, tuple)}
+        assert kinds == {"infer", "judgment", "solve", "unify"}
+        assert without["repro_supersteps_total"] > 0
+        assert without["repro_words_exchanged_total"] > 0
+        # Under the window every judgment span was also recorded.
+        assert len(window.spans("judgment")) == without[("inference", "judgment")]

@@ -287,6 +287,40 @@ class TestSessions:
         _, body, _ = client.request("GET", f"/v1/session/{sid}")
         assert body["definitions"] == ["f"]
 
+    def test_too_deep_definition_is_422_recursion_and_rolled_back(self, client):
+        _, body, _ = client.request("POST", "/v1/session", {})
+        sid = body["session"]
+        client.request(
+            "POST", f"/v1/session/{sid}/define", {"name": "one", "source": "1"}
+        )
+        deep = " + ".join(["1"] * 30000)
+        status, body, _ = client.request(
+            "POST", f"/v1/session/{sid}/define", {"name": "deep", "source": deep}
+        )
+        assert status == 422
+        assert body["error"]["kind"] == "recursion"
+        _, body, _ = client.request("GET", f"/v1/session/{sid}")
+        assert body["definitions"] == ["one"]
+        # The session still works after the rejected edit.
+        status, body, _ = client.request(
+            "POST", f"/v1/session/{sid}/run", {"program": "one + 1"}
+        )
+        assert status == 200
+        assert body["value"] == "2"
+
+    def test_too_deep_session_run_is_422_recursion(self, client):
+        _, body, _ = client.request("POST", "/v1/session", {})
+        sid = body["session"]
+        client.request(
+            "POST", f"/v1/session/{sid}/define", {"name": "one", "source": "1"}
+        )
+        for program in ("(" * 40000 + "1" + ")" * 40000, " + ".join(["one"] * 30000)):
+            status, body, _ = client.request(
+                "POST", f"/v1/session/{sid}/run", {"program": program}
+            )
+            assert status == 422
+            assert body["error"]["kind"] == "recursion"
+
     def test_unknown_session_is_404(self, client):
         status, body, _ = client.request(
             "POST", "/v1/session/s999999/run", {"program": "1"}
